@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/failpoint.h"
 
@@ -69,44 +67,22 @@ void SumDuplicates(std::vector<std::pair<int, double>>* coeffs) {
 // identified 1:1 throughout: basis_[i] is the ref basic "in row i", and an
 // FTRAN result ftran_[i] is the entering column's coefficient on that ref.
 //
-// Factorized storage comes in two representations behind BasisMode:
+// Factorized storage: B itself is factorized, PB = LU via Markowitz
+// elimination (prow_/pcol_/upiv_ record the pivot sequence, l_* the row
+// operations of L, u_* the rows of U), plus the update file file_/file_ent_
+// of product-form ops appended between refactorizations — one kEta per
+// pivot (the FTRAN-ed entering column) and one kRowExt per AddRow (the
+// bordered [[B,0],[wᵀ,1]] extension). FTRAN and BTRAN are sparse triangular
+// solves through L, U and an in-order (reverse-order for BTRAN) replay of
+// the file; nothing dense is ever formed.
 //
-//   kSparseLU (default): B itself is factorized, PB = LU via Markowitz
-//   elimination (prow_/pcol_/upiv_ record the pivot sequence, l_* the row
-//   operations of L, u_* the rows of U), plus the update file file_/
-//   file_ent_ of product-form ops appended between refactorizations — one
-//   kEta per pivot (the FTRAN-ed entering column) and one kRowExt per
-//   AddRow (the bordered [[B,0],[wᵀ,1]] extension). FTRAN and BTRAN are
-//   sparse triangular solves through L, U and an in-order (reverse-order
-//   for BTRAN) replay of the file; nothing dense is ever formed.
-//
-//   kDenseInverse (A/B fallback): the PR 5 explicit m×m inverse bcol_, held
-//   column-major (bcol_[k] is B^-1·e_k), with O(m²) product-form eta
-//   updates per pivot.
-//
-// Structural tableau columns are never materialized in either mode — the
-// entering column B^-1·A_j is computed on demand into the ftran_ scratch,
-// and everything that used to read the dense tableau (pricing, ratio test,
-// mutations) reads either the duals, ftran_, or the factorization.
+// Structural tableau columns are never materialized — the entering column
+// B^-1·A_j is computed on demand into the ftran_ scratch, and pricing, the
+// ratio test and the mutations read either the duals, ftran_, or the
+// factorization.
 class Solver::Impl {
  public:
-  explicit Impl(const SolveOptions& opt)
-      : opt_(opt), mode_(ResolveBasisMode(opt.basis.mode)) {
-    warm_restart_ = ResolveWarmRestart(opt.warm_restart);
-  }
-
-  // LDR_LP_BASIS=dense|lu overrides the configured representation — the CI
-  // hook that runs the whole suite against the fallback without a rebuild.
-  static BasisMode ResolveBasisMode(BasisMode configured) {
-    const char* e = std::getenv("LDR_LP_BASIS");
-    if (e != nullptr) {
-      if (std::strcmp(e, "dense") == 0) return BasisMode::kDenseInverse;
-      if (std::strcmp(e, "lu") == 0 || std::strcmp(e, "sparse") == 0) {
-        return BasisMode::kSparseLU;
-      }
-    }
-    return configured;
-  }
+  explicit Impl(const SolveOptions& opt) : opt_(opt) {}
 
   int AddVariable(double lo, double hi, double obj) {
     return AddColumn(lo, hi, obj, {});
@@ -169,40 +145,20 @@ class Solver::Impl {
       ++updates_since_refactor_;
       // New basis row: with the new slack joining the basis, the extended
       // basis is the bordered B' = [[B, 0], [w^T, 1]] where w_i is the new
-      // row's coefficient on the variable basic in position i.
-      if (mode_ == BasisMode::kDenseInverse) {
-        // Explicit-inverse extension: B'^-1 = [[B^-1, 0], [-w^T B^-1, 1]].
-        // Only B^-1 grows — there are no structural tableau columns to
-        // extend, which is what makes AddRow O(m·(|w|+1)) instead of the
-        // old O(n·|w| + m·|w|).
-        std::vector<std::pair<size_t, double>> w;
-        for (const auto& [var, c] : summed) {
-          int br = vrow_[static_cast<size_t>(var)];
-          if (br >= 0) w.emplace_back(static_cast<size_t>(br), c);
-        }
-        for (size_t k = 0; k + 1 < m_; ++k) {
-          double e = 0.0;
-          for (const auto& [i, wc] : w) e -= wc * bcol_[k][i];
-          bcol_[k].push_back(e);
-        }
-        bcol_.emplace_back(m_, 0.0);
-        bcol_.back()[static_cast<size_t>(r)] = 1.0;
-      } else {
-        // LU mode: record the bordered extension as one update-file op
-        // holding the sparse w; FTRAN/BTRAN replay it in O(|w|). The
-        // factorization itself is untouched.
-        FileOp op;
-        op.kind = FileOp::kRowExt;
-        op.pos = r;
-        op.pivot = 1.0;
-        op.start = static_cast<int>(file_ent_.size());
-        for (const auto& [var, c] : summed) {
-          int br = vrow_[static_cast<size_t>(var)];
-          if (br >= 0) file_ent_.emplace_back(br, c);
-        }
-        op.end = static_cast<int>(file_ent_.size());
-        file_.push_back(op);
+      // row's coefficient on the variable basic in position i. Record it as
+      // one update-file op holding the sparse w; FTRAN/BTRAN replay it in
+      // O(|w|). The factorization itself is untouched.
+      FileOp op;
+      op.kind = FileOp::kRowExt;
+      op.pos = r;
+      op.pivot = 1.0;
+      op.start = static_cast<int>(file_ent_.size());
+      for (const auto& [var, c] : summed) {
+        int br = vrow_[static_cast<size_t>(var)];
+        if (br >= 0) file_ent_.emplace_back(br, c);
       }
+      op.end = static_cast<int>(file_ent_.size());
+      file_.push_back(op);
 
       // The slack's basic value is the row's residual at the current point.
       double residual = rhs;
@@ -213,7 +169,6 @@ class Solver::Impl {
       }
       xb_.push_back(residual);
     } else {
-      if (mode_ == BasisMode::kDenseInverse) bcol_.emplace_back();
       xb_.push_back(0.0);
     }
 
@@ -235,18 +190,12 @@ class Solver::Impl {
     }
     // A nonbasic column has no factorized image to maintain; only the basic
     // values shift, and only when the column rests at a nonzero bound. The
-    // shift direction is column B^-1·e_row — a direct read of bcol_ under
-    // the dense inverse, one slack FTRAN under LU.
+    // shift direction is column B^-1·e_row: one slack FTRAN.
     double val = value_[v];
     if (val == 0.0) return;  // NOLINT(ldr-float-eq): exact sparsity test on a stored value
     ++updates_since_refactor_;
-    if (mode_ == BasisMode::kDenseInverse) {
-      const double* b = bcol_[static_cast<size_t>(row)].data();
-      for (size_t i = 0; i < m_; ++i) xb_[i] -= delta * b[i] * val;
-    } else {
-      Ftran(~row);
-      for (size_t i = 0; i < m_; ++i) xb_[i] -= delta * ftran_[i] * val;
-    }
+    Ftran(~row);
+    for (size_t i = 0; i < m_; ++i) xb_[i] -= delta * ftran_[i] * val;
   }
 
   void SetRhs(int row, double rhs) {
@@ -256,13 +205,8 @@ class Solver::Impl {
     rhs_[r] = rhs;
     if (!factor_valid_) return;
     ++updates_since_refactor_;
-    if (mode_ == BasisMode::kDenseInverse) {
-      const double* b = bcol_[r].data();
-      for (size_t i = 0; i < m_; ++i) xb_[i] += b[i] * delta;
-    } else {
-      Ftran(~row);
-      for (size_t i = 0; i < m_; ++i) xb_[i] += ftran_[i] * delta;
-    }
+    Ftran(~row);
+    for (size_t i = 0; i < m_; ++i) xb_[i] += ftran_[i] * delta;
   }
 
   double rhs(int row) const { return rhs_[static_cast<size_t>(row)]; }
@@ -324,33 +268,40 @@ class Solver::Impl {
     sol.dual_pivots = dual_pivots_;
     sol.bound_flips = bound_flips_;
     sol.warm_restart = warm_restart_used_;
-    // Resident factorized footprint per representation. Dense: the B^-1
-    // columns plus their vector headers. LU: the L/U arrays, the pivot
-    // sequence, and the update file — everything FTRAN/BTRAN touch.
-    size_t bytes = 0;
-    if (mode_ == BasisMode::kDenseInverse) {
-      bytes = bcol_.capacity() * sizeof(std::vector<double>);
-      for (const auto& c : bcol_) bytes += c.capacity() * sizeof(double);
-    } else {
-      bytes += prow_.capacity() * sizeof(int);
-      bytes += pcol_.capacity() * sizeof(int);
-      bytes += upiv_.capacity() * sizeof(double);
-      bytes += l_start_.capacity() * sizeof(int);
-      bytes += l_dst_.capacity() * sizeof(int);
-      bytes += l_mult_.capacity() * sizeof(double);
-      bytes += u_start_.capacity() * sizeof(int);
-      bytes += u_ent_.capacity() * sizeof(std::pair<int, double>);
-      bytes += file_.capacity() * sizeof(FileOp);
-      bytes += file_ent_.capacity() * sizeof(std::pair<int, double>);
-      sol.lu_nnz = lu_nnz_;
-      sol.eta_count = static_cast<int>(file_.size());
-      sol.fill_ratio = lu_fill_base_ > 0
-                           ? static_cast<double>(lu_nnz_) /
-                                 static_cast<double>(lu_fill_base_)
-                           : 0.0;
-    }
-    sol.basis_bytes = bytes;
+    // Resident factorized footprint: the L/U arrays, the pivot sequence,
+    // and the update file — everything FTRAN/BTRAN touch.
+    sol.basis_bytes = prow_.capacity() * sizeof(int) +
+                      pcol_.capacity() * sizeof(int) +
+                      upiv_.capacity() * sizeof(double) +
+                      l_start_.capacity() * sizeof(int) +
+                      l_dst_.capacity() * sizeof(int) +
+                      l_mult_.capacity() * sizeof(double) +
+                      u_start_.capacity() * sizeof(int) +
+                      u_ent_.capacity() * sizeof(std::pair<int, double>) +
+                      file_.capacity() * sizeof(FileOp) +
+                      file_ent_.capacity() * sizeof(std::pair<int, double>);
+    sol.lu_nnz = lu_nnz_;
+    sol.eta_count = static_cast<int>(file_.size());
+    sol.fill_ratio = lu_fill_base_ > 0
+                         ? static_cast<double>(lu_nnz_) /
+                               static_cast<double>(lu_fill_base_)
+                         : 0.0;
     return sol;
+  }
+
+  Problem Snapshot() const {
+    Problem p;
+    for (size_t j = 0; j < n_; ++j) p.AddVariable(lo_[j], hi_[j], cost_[j]);
+    std::vector<std::vector<std::pair<int, double>>> rows(m_);
+    for (size_t j = 0; j < n_; ++j) {
+      for (const auto& [r, c] : acol_[j]) {
+        rows[static_cast<size_t>(r)].emplace_back(static_cast<int>(j), c);
+      }
+    }
+    for (size_t i = 0; i < m_; ++i) {
+      p.AddRow(row_type_[i], rhs_[i], std::move(rows[i]));
+    }
+    return p;
   }
 
  private:
@@ -367,8 +318,8 @@ class Solver::Impl {
     warm_restart_used_ = false;
     // Mutations between Solve() calls (AddColumn/AddRow/AddToRow/SetRhs/
     // AddToObjective) are not tracked against the duals; rebuilding them
-    // lazily once per Solve is far cheaper than one old-style dense pricing
-    // pass and bounds inter-call drift.
+    // lazily once per Solve (one BTRAN) is cheap and bounds inter-call
+    // drift.
     y1_valid_ = false;
     y2_valid_ = false;
     int limit = opt_.max_iters > 0
@@ -408,14 +359,10 @@ class Solver::Impl {
     }
 
     // Periodic refactorization: every incremental update (pivot, appended
-    // row, rhs shift) compounds error in B^-1; a long-lived controller-epoch
-    // solver can run thousands of them without ever hitting the
-    // basic-AddToRow invalidation. Re-establish B^-1 from the exact sparse
-    // columns once enough drift-accumulating updates have passed. With no
-    // tableau to rebuild the re-establishment is O(m²) per basic column, so
-    // the automatic interval runs much tighter than the tableau-era
-    // max(4096, 8(m+n)) — better numerics at negligible amortized cost, and
-    // independent of n.
+    // row, rhs shift) compounds error in the factorized state; a long-lived
+    // controller-epoch solver can run thousands of them without ever
+    // hitting the basic-AddToRow invalidation. Refactorize from the exact
+    // sparse columns once enough drift-accumulating updates have passed.
     long refactor_after =
         opt_.refactor_interval > 0
             ? opt_.refactor_interval
@@ -444,7 +391,7 @@ class Solver::Impl {
     // (dual feasibility lost, numerical breakdown, stall) falls through to
     // the primal phase-1 loop below, whose Bland path is the anti-cycling
     // authority.
-    if (warm_restart_ && ever_optimal_ && HasInfeasibleBasic()) {
+    if (opt_.warm_restart && ever_optimal_ && HasInfeasibleBasic()) {
       // Fault site: the warm basis reports dual feasibility lost, forcing
       // the primal phase-1 fallback path without constructing a genuinely
       // dual-infeasible basis.
@@ -555,6 +502,10 @@ class Solver::Impl {
     }
 
     ever_optimal_ = true;
+    // The phase-2 duals the final (empty) pricing sweep certified
+    // optimality against — valid here, since that sweep rebuilt them if
+    // anything had invalidated them.
+    sol.duals = y2_;
     sol.values.assign(n_, 0.0);
     for (size_t j = 0; j < n_; ++j) {
       sol.values[j] =
@@ -579,7 +530,7 @@ class Solver::Impl {
     kBoundFlip,
     kUnbounded,
     kStuck,
-    // A numerically-zero pivot was detected and B^-1 re-established from
+    // A numerically-zero pivot was detected and the basis refactorized from
     // the exact sparse columns; the caller must re-price and retry.
     kRecovered,
   };
@@ -596,37 +547,19 @@ class Solver::Impl {
   }
 
   // Computes ftran_ = B^-1 · A(ref), the entering tableau column, from the
-  // sparse original column. Dense mode: O(m · nnz) accumulation of B^-1
-  // columns (a slack's image is column k of B^-1, copied — the eta update
-  // in RawPivot must read the pre-pivot column while it rewrites bcol_[k]).
-  // LU mode: one sparse triangular solve through L, U and the update file.
+  // sparse original column: one sparse triangular solve through L, U and
+  // the update file.
   void Ftran(int ref) {
-    if (mode_ == BasisMode::kSparseLU) {
-      luw_.assign(m_, 0.0);
-      if (ref < 0) {
-        luw_[static_cast<size_t>(~ref)] = 1.0;
-        ++ftran_nnz_;
-      } else {
-        const auto& col = acol_[static_cast<size_t>(ref)];
-        ftran_nnz_ += static_cast<long>(col.size());
-        for (const auto& [r, c] : col) luw_[static_cast<size_t>(r)] += c;
-      }
-      LuFtran(&luw_, &ftran_);
-      return;
-    }
+    luw_.assign(m_, 0.0);
     if (ref < 0) {
-      const std::vector<double>& b = bcol_[static_cast<size_t>(~ref)];
-      ftran_.assign(b.begin(), b.end());
+      luw_[static_cast<size_t>(~ref)] = 1.0;
       ++ftran_nnz_;
-      return;
+    } else {
+      const auto& col = acol_[static_cast<size_t>(ref)];
+      ftran_nnz_ += static_cast<long>(col.size());
+      for (const auto& [r, c] : col) luw_[static_cast<size_t>(r)] += c;
     }
-    ftran_.assign(m_, 0.0);
-    const auto& col = acol_[static_cast<size_t>(ref)];
-    ftran_nnz_ += static_cast<long>(col.size());
-    for (const auto& [r, c] : col) {
-      const double* b = bcol_[static_cast<size_t>(r)].data();
-      for (size_t i = 0; i < m_; ++i) ftran_[i] += c * b[i];
-    }
+    LuFtran(&luw_, &ftran_);
   }
 
   // --- sparse LU solves -----------------------------------------------------
@@ -749,15 +682,9 @@ class Solver::Impl {
   }
 
   // Fills rho_ with row r of the *current* B^-1 — the vector the per-pivot
-  // dual update multiplies (y += d · rho). Dense: a gather across the
-  // explicit inverse's columns. LU: BTRAN(e_r), since (B^-T e_r)[k] =
+  // dual update multiplies (y += d · rho): BTRAN(e_r), since (B^-T e_r)[k] =
   // (B^-1)[r][k].
   void ComputeInverseRow(size_t r) {
-    if (mode_ == BasisMode::kDenseInverse) {
-      rho_.resize(m_);
-      for (size_t k = 0; k < m_; ++k) rho_[k] = bcol_[k][r];
-      return;
-    }
     lub_.assign(m_, 0.0);
     lub_[r] = 1.0;
     LuBtran(&lub_, &rho_);
@@ -894,8 +821,8 @@ class Solver::Impl {
   //   phase 1:  y1 = g^T B^-1 where g is the per-row subgradient of total
   //             bound infeasibility (+-1 on violated rows), so d_j = -y1^T A_j
   //
-  // Both are read off the explicit B^-1 in the slack block when (re)built,
-  // and updated per pivot with y += d_enter * (row r of the new B^-1) — the
+  // Both are rebuilt with one BTRAN of the basic costs (subgradient), and
+  // updated per pivot with y += d_enter * (row r of the new B^-1) — the
   // standard revised-simplex dual update; for y1 the blocking row's
   // subgradient change cancels against the basis change, so the same one-line
   // update is exact as long as no *other* row's violation state flips. Since
@@ -903,59 +830,25 @@ class Solver::Impl {
   // subgradient each iteration (O(m), already paid by the feasibility check)
   // and rebuilds y1 only when the scan disagrees with the cached g1_.
 
+  // y2 = B^-T c_B: one BTRAN of the basic-cost vector.
   void RebuildPhase2Duals() {
-    if (mode_ == BasisMode::kSparseLU) {
-      // y2 = B^-T c_B: one BTRAN of the basic-cost vector.
-      lub_.assign(m_, 0.0);
-      for (size_t i = 0; i < m_; ++i) lub_[i] = CostOf(basis_[i]);
-      LuBtran(&lub_, &y2_);
-      y2_valid_ = true;
-      return;
-    }
-    dual_rows_.clear();
-    for (size_t i = 0; i < m_; ++i) {
-      double cb = CostOf(basis_[i]);
-      if (cb != 0) dual_rows_.emplace_back(i, cb);
-    }
-    y2_.assign(m_, 0.0);
-    for (size_t k = 0; k < m_; ++k) {
-      double acc = 0;
-      const double* col = bcol_[k].data();
-      for (const auto& [i, cb] : dual_rows_) acc += cb * col[i];
-      y2_[k] = acc;
-    }
+    lub_.assign(m_, 0.0);
+    for (size_t i = 0; i < m_; ++i) lub_[i] = CostOf(basis_[i]);
+    LuBtran(&lub_, &y2_);
     y2_valid_ = true;
   }
 
+  // y1 = B^-T g: one BTRAN of the infeasibility subgradient.
   void RebuildPhase1Duals() {
     g1_.assign(m_, 0);
-    if (mode_ == BasisMode::kSparseLU) {
-      // y1 = B^-T g: one BTRAN of the infeasibility subgradient.
-      lub_.assign(m_, 0.0);
-      for (size_t i = 0; i < m_; ++i) {
-        if (!BasicViolated(i)) continue;
-        int8_t g = xb_[i] < LoOf(basis_[i]) ? -1 : 1;
-        g1_[i] = g;
-        lub_[i] = g;
-      }
-      LuBtran(&lub_, &y1_);
-      y1_valid_ = true;
-      return;
-    }
-    dual_rows_.clear();
+    lub_.assign(m_, 0.0);
     for (size_t i = 0; i < m_; ++i) {
       if (!BasicViolated(i)) continue;
       int8_t g = xb_[i] < LoOf(basis_[i]) ? -1 : 1;
       g1_[i] = g;
-      dual_rows_.emplace_back(i, g);
+      lub_[i] = g;
     }
-    y1_.assign(m_, 0.0);
-    for (size_t k = 0; k < m_; ++k) {
-      double acc = 0;
-      const double* col = bcol_[k].data();
-      for (const auto& [i, g] : dual_rows_) acc += g * col[i];
-      y1_[k] = acc;
-    }
+    LuBtran(&lub_, &y1_);
     y1_valid_ = true;
   }
 
@@ -1030,12 +923,10 @@ class Solver::Impl {
   //   bland     first eligible ref in fixed structural-then-slack order (the
   //             anti-cycling rule needs the global first, so it always does a
   //             full ordered scan).
-  //   kDantzig  full sweep every iteration, best score wins.
-  //   kPartial  re-price the candidate list (each O(nnz)); when it runs dry,
+  //   partial   re-price the candidate list (each O(nnz)); when it runs dry,
   //             refresh it with rotating partial sweeps, escalating window by
   //             window until something improves. Only a sweep that wraps the
-  //             entire column space finding nothing declares optimality —
-  //             exactly the certificate a full Dantzig sweep produces.
+  //             entire column space finding nothing declares optimality.
   bool ChooseEntering(bool phase1, bool bland, int* entering, double* d_enter) {
     const size_t total = n_ + m_;
     if (total == 0) return false;
@@ -1051,23 +942,6 @@ class Solver::Impl {
         }
       }
       return false;
-    }
-    if (opt_.pricing.mode == PricingMode::kDantzig) {
-      bool found = false;
-      double best = opt_.tol;
-      for (size_t p = 0; p < total; ++p) {
-        int ref = RefAt(p);
-        if (IsBasic(ref)) continue;
-        double d = ReducedCost(phase1, ref);
-        double score = EnteringScore(ref, d);
-        if (score > best) {
-          best = score;
-          *entering = ref;
-          *d_enter = d;
-          found = true;
-        }
-      }
-      return found;
     }
 
     // Partial pricing. 1: re-price the surviving candidates.
@@ -1142,63 +1016,31 @@ class Solver::Impl {
     return true;
   }
 
-  // Product-form pivot on row r with the FTRAN-ed entering column for
-  // `enter_ref` held in ftran_: B_new^-1 = E · B^-1 where E is the eta
-  // matrix for (r, ftran_). Per B^-1 column c: f = c[r]/pivot;
-  // c[i] -= f·ftran_[i]; c[r] = f — columns with c[r] == 0 are untouched.
-  // Only the m columns of B^-1 are updated, O(m²) total; the old code
-  // additionally swept all n structural tableau columns. An entering
-  // slack's own B^-1 column (the data ftran_ was copied from) becomes e_r
-  // under this update only up to rounding (f = pivot·(1/pivot) ≈ 1), so it
-  // is snapped to an exact e_r afterwards — the same guarantee the old
-  // explicit fill gave, keeping ulp residue from compounding across
-  // slack-entering pivots in long-lived solvers.
+  // Forrest–Tomlin-style product-form pivot on row r with the FTRAN-ed
+  // entering column held in ftran_: append one eta op holding its nonzeros.
+  // O(nnz(ftran_)) — nothing else in the factorization moves; the file is
+  // re-absorbed into L/U at the next refactorization.
   //
   // Returns false — touching nothing — when the pivot element is numerically
-  // zero (or NaN). This used to be an assert, which vanishes in NDEBUG
-  // builds and let a release binary divide by ~0 and poison the basis
-  // inverse; callers now recover (Step forces a refactorization, Refactorize
-  // flags the basis singular) instead of corrupting state.
-  bool RawPivot(size_t r, int enter_ref) {
+  // zero (or NaN); callers recover by forcing a refactorization instead of
+  // corrupting state.
+  bool RawPivot(size_t r) {
     double pivot = ftran_[r];
     if (!(std::abs(pivot) > kMinPivot)) return false;
     ++updates_since_refactor_;
     ++pivots_;
-    if (mode_ == BasisMode::kSparseLU) {
-      // Forrest–Tomlin-style product-form update: append one eta op holding
-      // the FTRAN-ed entering column's nonzeros. O(nnz(ftran_)) — nothing
-      // else in the factorization moves; the file is re-absorbed into L/U at
-      // the next refactorization.
-      FileOp op;
-      op.kind = FileOp::kEta;
-      op.pos = static_cast<int>(r);
-      op.pivot = pivot;
-      op.start = static_cast<int>(file_ent_.size());
-      for (size_t i = 0; i < m_; ++i) {
-        if (i != r && ftran_[i] != 0.0) {  // NOLINT(ldr-float-eq): drop exact zeros when compressing the eta
-          file_ent_.emplace_back(static_cast<int>(i), ftran_[i]);
-        }
+    FileOp op;
+    op.kind = FileOp::kEta;
+    op.pos = static_cast<int>(r);
+    op.pivot = pivot;
+    op.start = static_cast<int>(file_ent_.size());
+    for (size_t i = 0; i < m_; ++i) {
+      if (i != r && ftran_[i] != 0.0) {  // NOLINT(ldr-float-eq): drop exact zeros when compressing the eta
+        file_ent_.emplace_back(static_cast<int>(i), ftran_[i]);
       }
-      op.end = static_cast<int>(file_ent_.size());
-      file_.push_back(op);
-      (void)enter_ref;  // no explicit inverse column to snap under LU
-      return true;
     }
-    double inv = 1.0 / pivot;
-    const double* pc = ftran_.data();
-    for (auto& c : bcol_) {
-      double crj = c[r];
-      if (crj == 0) continue;
-      double f = crj * inv;
-      double* cd = c.data();
-      for (size_t i = 0; i < m_; ++i) cd[i] -= f * pc[i];
-      cd[r] = f;
-    }
-    if (enter_ref < 0) {
-      std::vector<double>& ecol = bcol_[static_cast<size_t>(~enter_ref)];
-      std::fill(ecol.begin(), ecol.end(), 0.0);
-      ecol[r] = 1.0;
-    }
+    op.end = static_cast<int>(file_ent_.size());
+    file_.push_back(op);
     return true;
   }
 
@@ -1211,13 +1053,12 @@ class Solver::Impl {
       deadline_hit_ = true;
       return StepResult::kStuck;
     }
-    // LU update-file bound: once the file outgrows its op/entry caps, fold
-    // it into a fresh factorization before pivoting further — this is what
+    // Update-file bound: once the file outgrows its op/entry caps, fold it
+    // into a fresh factorization before pivoting further — this is what
     // keeps both replay cost and resident memory bounded over a long solve.
     // refactor_interval < 0 disables it along with the drift guard (the
     // file then grows with the pivot count but stays exact).
-    if (mode_ == BasisMode::kSparseLU && factor_valid_ &&
-        opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
+    if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
       factor_valid_ = false;
       Refactorize();
       return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
@@ -1251,9 +1092,9 @@ class Solver::Impl {
     if (m_ > 0 && LDR_FAILPOINT("lp.ftran_nan")) {
       ftran_[0] = std::numeric_limits<double>::quiet_NaN();
     }
-    // A non-finite FTRAN result means B^-1 itself is poisoned (overflow or
-    // NaN from compounded eta updates); the ratio test below would smuggle
-    // it into xb_. Re-establish the factorization from the exact sparse
+    // A non-finite FTRAN result means the factorization is poisoned
+    // (overflow or NaN from compounded eta updates); the ratio test below
+    // would smuggle it into xb_. Re-establish the factorization from the exact sparse
     // columns and let the caller re-price — the same recovery path as a
     // numerically-zero pivot.
     for (size_t i = 0; i < m_; ++i) {
@@ -1374,10 +1215,9 @@ class Solver::Impl {
         (LDR_FAILPOINT("lp.tiny_pivot") ||
          !(std::abs(ecol[static_cast<size_t>(leave_row)]) > kMinPivot))) {
       // About to pivot on a numerically zero (or NaN) element —
-      // factorization drift a NDEBUG build would previously have divided
-      // by. Re-establish B^-1 from
-      // the exact sparse columns and let the caller re-price against the
-      // fresh factorization instead of poisoning the basis.
+      // factorization drift. Refactorize from the exact sparse columns and
+      // let the caller re-price against the fresh factorization instead of
+      // poisoning the basis.
       ++pivot_recoveries_;
       factor_valid_ = false;
       Refactorize();
@@ -1412,7 +1252,7 @@ class Solver::Impl {
     // the bound it hit.
     size_t r = static_cast<size_t>(leave_row);
     int leaving = basis_[r];
-    if (!RawPivot(r, entering)) {
+    if (!RawPivot(r)) {
       // Unreachable given the pre-check above, but never corrupt state.
       ++pivot_recoveries_;
       factor_valid_ = false;
@@ -1434,8 +1274,7 @@ class Solver::Impl {
     // the duals by d * (row r of the *new* B^-1) — for y1 the blocking row's
     // subgradient change cancels against the basis change (see the dual
     // section above), so both phases share the one-line update. The inverse
-    // row is a gather across bcol_ under the dense inverse and one
-    // BTRAN(e_r) under LU (the appended eta's transpose maps e_r to
+    // row is one BTRAN(e_r) (the appended eta's transpose maps e_r to
     // (1/pivot)·e_r, so the post-append BTRAN yields the *new* row
     // directly).
     if (y1_valid_ || y2_valid_) {
@@ -1475,10 +1314,9 @@ class Solver::Impl {
       deadline_hit_ = true;
       return StepResult::kStuck;
     }
-    // LU update-file bound, as in Step: fold an outgrown file into a fresh
+    // Update-file bound, as in Step: fold an outgrown file into a fresh
     // factorization before pivoting further.
-    if (mode_ == BasisMode::kSparseLU && factor_valid_ &&
-        opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
+    if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
       factor_valid_ = false;
       Refactorize();
       return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
@@ -1492,10 +1330,9 @@ class Solver::Impl {
     double leave_bound = below ? blo : bhi;
 
     // Price the pivot row: alpha_j = rho^T A_j over every nonbasic column,
-    // with rho = row r of B^-1 (a gather across bcol_ under the dense
-    // inverse, one BTRAN(e_r) under LU). A candidate is admissible when the
-    // dual step moves its reduced cost toward zero from the feasible side;
-    // t is the step at which it crosses.
+    // with rho = row r of B^-1 (one BTRAN(e_r)). A candidate is admissible
+    // when the dual step moves its reduced cost toward zero from the
+    // feasible side; t is the step at which it crosses.
     ComputeInverseRow(r);
     const double* rho = rho_.data();
     dual_cand_.clear();
@@ -1588,7 +1425,7 @@ class Solver::Impl {
     Ftran(e);
     for (size_t i = 0; i < m_; ++i) {
       if (!std::isfinite(ftran_[i])) {
-        // Poisoned B^-1 — same recovery path as Step.
+        // Poisoned factorization — same recovery path as Step.
         ++pivot_recoveries_;
         factor_valid_ = false;
         Refactorize();
@@ -1611,7 +1448,7 @@ class Solver::Impl {
       if (a == 0) continue;
       xb_[i] -= a * move;
     }
-    if (!RawPivot(r, e)) {
+    if (!RawPivot(r)) {
       ++pivot_recoveries_;
       factor_valid_ = false;
       Refactorize();
@@ -1639,8 +1476,13 @@ class Solver::Impl {
   }
 
   // Re-establishes the factorization for the recorded basis from the exact
-  // sparse columns: a Markowitz-ordered sparse LU under kSparseLU, the
-  // explicit-inverse Gaussian re-establishment under kDenseInverse.
+  // sparse columns: a Markowitz-ordered elimination of the basis columns. A
+  // singular (or threshold-unstable beyond repair) elimination demotes the
+  // recorded basics at the unpivoted positions, substitutes free slacks of
+  // the unpivoted rows, and retries — phase 1 then repairs any feasibility
+  // the substitution cost. Only repeated failure (which a real
+  // repeated-singular basis produces, and the lp.refactor_singular
+  // failpoint emulates) flags refactor_singular_.
   void Refactorize() {
     refactor_singular_ = false;
     // Fault site: the recorded basis fails to re-establish (as a genuinely
@@ -1651,147 +1493,6 @@ class Solver::Impl {
       return;
     }
     ++refactorizations_;
-    if (mode_ == BasisMode::kSparseLU) {
-      RefactorizeLU();
-    } else {
-      RefactorizeDense();
-    }
-  }
-
-  // How close the eta/row-extension file is to its bound (see BasisOptions).
-  bool NeedsEtaRefactor() const {
-    long ops_cap = opt_.basis.max_file_ops > 0
-                       ? opt_.basis.max_file_ops
-                       : std::max<long>(64, static_cast<long>(m_) / 2);
-    long ent_cap = opt_.basis.max_file_entries > 0
-                       ? opt_.basis.max_file_entries
-                       : std::max<long>(1024, 8 * lu_nnz_);
-    return static_cast<long>(file_.size()) >= ops_cap ||
-           static_cast<long>(file_ent_.size()) >= ent_cap;
-  }
-
-  // Dense-inverse re-establishment (the PR 5 path, kDenseInverse only):
-  // FTRAN each desired basic column against the partially built inverse,
-  // then eta-pivot, falling back to a row's own slack (or any usable column)
-  // where the recorded basic column has gone numerically singular. O(m²)
-  // per basic column.
-  void RefactorizeDense() {
-    for (size_t k = 0; k < m_; ++k) {
-      bcol_[k].assign(m_, 0.0);
-      bcol_[k][k] = 1.0;
-    }
-
-    desired_ = basis_;
-    vrow_.assign(n_, -1);
-    srow_.assign(m_, -1);
-
-    for (size_t i = 0; i < m_; ++i) {
-      int ref = desired_[i];
-      // A ref an earlier row already established (possible when a fallback
-      // stole a later row's slack) is off limits — and must NOT be demoted,
-      // since it is legitimately basic elsewhere.
-      bool available = BasicRowOf(ref) < 0;
-      // A slack basic in its own row needs no pivot: its inverse column is
-      // still e_i (pivots on other rows cannot disturb it).
-      if (available && ref < 0 && static_cast<size_t>(~ref) == i) {
-        basis_[i] = ref;
-        BasicRowOf(ref) = static_cast<int>(i);
-        StateOf(ref) = VarState::kBasic;
-        continue;
-      }
-      // The candidate column under the partial factorization: exactly what
-      // the old working tableau held at this point, computed on demand.
-      if (available) Ftran(ref);
-      if (!available || std::abs(ftran_[i]) <= 1e-9) {
-        // Demote the unusable recorded basic to a nonbasic bound and use
-        // this row's own slack instead, provided neither is claimed
-        // elsewhere.
-        if (available) Demote(ref);
-        ref = ~static_cast<int>(i);
-        bool slack_free = BasicRowOf(ref) < 0;
-        for (size_t i2 = i; slack_free && i2 < m_; ++i2) {
-          if (desired_[i2] == ref) slack_free = false;
-        }
-        if (slack_free) Ftran(ref);
-        if (!slack_free || std::abs(ftran_[i]) <= 1e-9) {
-          ref = FindPivotColumn(i, desired_);
-          if (ref != kNoRef) Ftran(ref);
-        }
-        if (ref == kNoRef) {
-          // Singular beyond repair in this row: fall back to any unclaimed
-          // slack (one always exists — fewer than m are claimed so far),
-          // preferring the row's own. Phase 1 sorts out feasibility; a
-          // later row that wanted this slack hits the `available` guard
-          // above and re-resolves itself.
-          ref = ~static_cast<int>(i);
-          for (size_t k = 0; BasicRowOf(ref) >= 0 && k < m_; ++k) {
-            if (srow_[k] < 0) ref = ~static_cast<int>(k);
-          }
-          Ftran(ref);
-        }
-      }
-      if (RawPivot(i, ref)) {
-        // established
-      } else {
-        // No usable pivot anywhere: the column recorded basic is not e_i,
-        // so the factorization invariant is broken. Flag it so Solve()
-        // reports a numerical failure instead of optimizing over an
-        // inconsistent basis (callers treat that as breakdown and rebuild
-        // cold).
-        refactor_singular_ = true;
-      }
-      basis_[i] = ref;
-      BasicRowOf(ref) = static_cast<int>(i);
-      StateOf(ref) = VarState::kBasic;
-    }
-
-    // Anything recorded basic that lost its slot is nonbasic now.
-    for (size_t j = 0; j < n_; ++j) {
-      if (vstate_[j] == VarState::kBasic && vrow_[j] < 0) {
-        Demote(static_cast<int>(j));
-      }
-    }
-    for (size_t k = 0; k < m_; ++k) {
-      if (sstate_[k] == VarState::kBasic && srow_[k] < 0) {
-        Demote(~static_cast<int>(k));
-      }
-    }
-
-    // x_B = B^-1 · (b - sum over nonbasic structural columns of A_j x_j)
-    // (nonbasic slacks rest at 0 and drop out). The net right-hand side is
-    // accumulated sparsely first so the dense pass is one O(m²) product
-    // instead of per-column O(m) sweeps over all n columns.
-    net_rhs_ = rhs_;
-    for (size_t j = 0; j < n_; ++j) {
-      if (vrow_[j] >= 0 || value_[j] == 0) continue;
-      for (const auto& [r, c] : acol_[j]) {
-        net_rhs_[static_cast<size_t>(r)] -= c * value_[j];
-      }
-    }
-    xb_.assign(m_, 0.0);
-    for (size_t k = 0; k < m_; ++k) {
-      if (net_rhs_[k] == 0) continue;
-      const double* col = bcol_[k].data();
-      for (size_t i = 0; i < m_; ++i) xb_[i] += col[i] * net_rhs_[k];
-    }
-    factor_valid_ = true;
-    updates_since_refactor_ = 0;  // counts from this exact rebuild
-    // The basis may have been re-established differently; both dual vectors
-    // are stale until their phase rebuilds them.
-    y1_valid_ = false;
-    y2_valid_ = false;
-  }
-
-  // Sparse LU refactorization (kSparseLU): Markowitz-ordered elimination of
-  // the exact basis columns. A singular (or threshold-unstable beyond
-  // repair) elimination demotes the recorded basics at the unpivoted
-  // positions, substitutes free slacks of the unpivoted rows, and retries —
-  // phase 1 then repairs any feasibility the substitution cost, the same
-  // ladder the dense path's slack fallback walks. Only repeated failure
-  // (which a real repeated-singular basis produces, and the
-  // lp.refactor_singular failpoint emulates upstream) flags
-  // refactor_singular_.
-  void RefactorizeLU() {
     for (int attempt = 0;; ++attempt) {
       if (EliminateLU()) break;
       if (attempt >= 4 || !RepairSingularBasis()) {
@@ -1842,8 +1543,22 @@ class Solver::Impl {
 
     factor_valid_ = true;
     updates_since_refactor_ = 0;
+    // The basis may have been re-established differently; both dual vectors
+    // are stale until their phase rebuilds them.
     y1_valid_ = false;
     y2_valid_ = false;
+  }
+
+  // How close the eta/row-extension file is to its bound (see BasisOptions).
+  bool NeedsEtaRefactor() const {
+    long ops_cap = opt_.basis.max_file_ops > 0
+                       ? opt_.basis.max_file_ops
+                       : std::max<long>(64, static_cast<long>(m_) / 2);
+    long ent_cap = opt_.basis.max_file_entries > 0
+                       ? opt_.basis.max_file_entries
+                       : std::max<long>(1024, 8 * lu_nnz_);
+    return static_cast<long>(file_.size()) >= ops_cap ||
+           static_cast<long>(file_ent_.size()) >= ent_cap;
   }
 
   // One Markowitz elimination pass over the current basis_. On success the
@@ -2101,42 +1816,9 @@ class Solver::Impl {
     return true;
   }
 
-  static constexpr int kNoRef = std::numeric_limits<int>::min();
   static constexpr int kLuCandidates = 4;
   static constexpr double kLuStabTau = 0.01;   // Markowitz threshold pivoting
   static constexpr double kLuSingularTol = 1e-9;
-
-  // Picks a nonbasic, not-later-desired column with the largest pivot
-  // magnitude in row i (refactorization fallback). The pivot magnitude of
-  // column j is (B^-1 A_j)[i] = (row i of B^-1) · A_j, so one BTRAN — a
-  // gather of row i across the column-major B^-1 — prices every candidate
-  // by a sparse dot in O(nnz) instead of a dense tableau read.
-  int FindPivotColumn(size_t i, const std::vector<int>& desired) {
-    btran_.resize(m_);
-    for (size_t k = 0; k < m_; ++k) btran_[k] = bcol_[k][i];
-    int best = kNoRef;
-    double best_mag = 1e-9;
-    auto consider = [&](int ref, double pivot) {
-      if (BasicRowOf(ref) >= 0) return;
-      for (size_t i2 = i + 1; i2 < m_; ++i2) {
-        if (desired[i2] == ref) return;
-      }
-      double mag = std::abs(pivot);
-      if (mag > best_mag) {
-        best_mag = mag;
-        best = ref;
-      }
-    };
-    for (size_t j = 0; j < n_; ++j) {
-      double pivot = 0;
-      for (const auto& [r, c] : acol_[j]) {
-        pivot += btran_[static_cast<size_t>(r)] * c;
-      }
-      consider(static_cast<int>(j), pivot);
-    }
-    for (size_t k = 0; k < m_; ++k) consider(~static_cast<int>(k), btran_[k]);
-    return best;
-  }
 
   void Demote(int ref) {
     double lo = LoOf(ref), hi = HiOf(ref);
@@ -2158,7 +1840,6 @@ class Solver::Impl {
   }
 
   const SolveOptions opt_;
-  const BasisMode mode_;
   size_t m_ = 0;  // rows
   size_t n_ = 0;  // structural variables
 
@@ -2168,18 +1849,16 @@ class Solver::Impl {
   std::vector<RowType> row_type_;
   std::vector<double> rhs_;
 
-  // Factorized working state: B^-1 is the ONLY dense factorization kept —
-  // structural columns live solely in sparse acol_ and are FTRAN-ed on
-  // demand (revised simplex).
+  // Factorized working state — structural columns live solely in sparse
+  // acol_ and are FTRAN-ed on demand (revised simplex).
   bool factor_valid_ = true;
   bool refactor_singular_ = false;  // last Refactorize failed a pivot
-  // Drift-accumulating updates applied to B^-1 since the last exact rebuild
+  // Drift-accumulating updates applied since the last exact refactorization
   // (see SolveOptions::refactor_interval).
   long updates_since_refactor_ = 0;
-  std::vector<std::vector<double>> bcol_;  // explicit B^-1 (kDenseInverse)
 
-  // Sparse LU state (kSparseLU). Base factorization PB = LU over the m0_
-  // rows/positions that existed at the last refactorization:
+  // Sparse LU state. Base factorization PB = LU over the m0_ rows/positions
+  // that existed at the last refactorization:
   size_t m0_ = 0;
   std::vector<int> prow_, pcol_;  // elimination step -> pivot row / position
   std::vector<double> upiv_;      // step -> pivot value
@@ -2238,21 +1917,17 @@ class Solver::Impl {
   int bound_flips_ = 0;
   bool warm_restart_used_ = false;
 
-  // Warm-restart state: warm_restart_ is the env-resolved SolveOptions
-  // knob; ever_optimal_ records that a previous SolveImpl reached kOptimal,
-  // which is what makes the current basis a candidate dual-feasible warm
-  // start (a cold first solve always takes the primal path).
-  bool warm_restart_ = false;
+  // Warm-restart state: ever_optimal_ records that a previous SolveImpl
+  // reached kOptimal, which is what makes the current basis a candidate
+  // dual-feasible warm start (a cold first solve always takes the primal
+  // path).
   bool ever_optimal_ = false;
 
   // Scratch buffers reused across iterations — the simplex inner loop
   // (FTRAN, ratio test, pivot) allocates nothing once these reach capacity
   // (asserted by LpSolver.WarmResolveInnerLoopIsAllocationFree).
   std::vector<double> ftran_;    // entering column B^-1·A_j of the live Step
-  std::vector<double> btran_;    // row-of-B^-1 gather (dense refactor fallback)
   std::vector<double> rt_, rb_;  // ratio test: per-row step / bound landed on
-  std::vector<std::pair<size_t, double>> dual_rows_;  // rebuild scratch
-  std::vector<int> desired_;     // Refactorize: recorded basis snapshot
   std::vector<double> net_rhs_;  // Refactorize: rhs net of nonbasic values
   std::vector<double> rho_;      // row r of B^-1 for the per-pivot dual update
   // Dual ratio-test candidate: a nonbasic column with a nonzero pivot-row
@@ -2365,22 +2040,145 @@ Solution Solver::Solve() { return impl_->Solve(); }
 
 void Solver::Invalidate() { impl_->Invalidate(); }
 
+Problem Solver::Snapshot() const { return impl_->Snapshot(); }
+
 Solution Solve(const Problem& problem, const SolveOptions& options) {
   Solver solver(problem, options);
   return solver.Solve();
 }
 
-// LDR_LP_WARM=cold|warm overrides the configured warm-restart mode — the CI
-// hook that runs the whole suite against the cold-rebuild baseline without a
-// rebuild, mirroring LDR_LP_BASIS. Shared by the solver's dual-entry gate
-// and the routing layer's keep-vs-drop decision on topology events.
-bool ResolveWarmRestart(bool configured) {
-  const char* e = std::getenv("LDR_LP_WARM");
-  if (e != nullptr) {
-    if (std::strcmp(e, "cold") == 0) return false;
-    if (std::strcmp(e, "warm") == 0) return true;
+// The certificate works on the row form a_i^T x + s_i = b_i that the solver
+// itself uses (slack s_i >= 0 for kLe, <= 0 for kGe, = 0 for kEq), so for a
+// minimization the row dual y_i is <= 0 on kLe rows and >= 0 on kGe rows.
+// Every residual is divided by the magnitudes it was summed from, so one
+// tolerance serves LPs whose coefficients span many orders of magnitude
+// (the routing LP mixes 1e6 congestion weights with unit fractions).
+Certificate CheckOptimality(const Problem& problem, const Solution& solution,
+                            double tol) {
+  Certificate cert;
+  auto fail = [&](const std::string& what) {
+    if (cert.failure.empty()) cert.failure = what;
+  };
+  const size_t n = problem.VariableCount();
+  const size_t m = problem.RowCount();
+  if (!solution.ok()) {
+    cert.failure = "status " + ToString(solution.status);
+    return cert;
   }
-  return configured;
+  if (solution.values.size() != n || solution.duals.size() != m) {
+    cert.failure = "solution has " + std::to_string(solution.values.size()) +
+                   " values / " + std::to_string(solution.duals.size()) +
+                   " duals for " + std::to_string(n) + " variables / " +
+                   std::to_string(m) + " rows";
+    return cert;
+  }
+  const std::vector<double>& x = solution.values;
+  const std::vector<double>& y = solution.duals;
+  const std::vector<double>& cost = problem.objective();
+  const std::vector<double>& lo = problem.lower_bounds();
+  const std::vector<double>& hi = problem.upper_bounds();
+  for (size_t j = 0; j < n; ++j) {
+    if (!std::isfinite(x[j])) fail("value " + std::to_string(j) + " is NaN/inf");
+  }
+  for (size_t i = 0; i < m; ++i) {
+    if (!std::isfinite(y[i])) fail("dual " + std::to_string(i) + " is NaN/inf");
+  }
+  if (!cert.failure.empty()) return cert;
+
+  // Scale of the dual side: row duals are compared against the largest
+  // cost they were priced from.
+  double dual_scale = 1.0;
+  for (size_t j = 0; j < n; ++j) {
+    dual_scale = std::max(dual_scale, 1.0 + std::abs(cost[j]));
+  }
+
+  // Reduced costs d_j = c_j - sum_i y_i a_ij, with the magnitude of the
+  // terms each was summed from.
+  std::vector<double> d(cost);
+  std::vector<double> d_mag(n);
+  for (size_t j = 0; j < n; ++j) d_mag[j] = 1.0 + std::abs(cost[j]);
+
+  double primal_obj = 0, dual_obj = 0, gap_scale = 1.0;
+  for (size_t i = 0; i < m; ++i) {
+    const Row& row = problem.rows()[i];
+    double activity = 0, act_mag = 0;
+    for (const auto& [var, a] : row.coeffs) {
+      size_t j = static_cast<size_t>(var);
+      activity += a * x[j];
+      act_mag += std::abs(a * x[j]);
+      d[j] -= y[i] * a;
+      d_mag[j] += std::abs(y[i] * a);
+    }
+    const double scale = 1.0 + std::abs(row.rhs) + act_mag;
+    const double slack = row.rhs - activity;
+    double infeas = 0, wrong_sign = 0;
+    switch (row.type) {
+      case RowType::kLe:
+        infeas = std::max(0.0, -slack);
+        wrong_sign = std::max(0.0, y[i]);
+        break;
+      case RowType::kGe:
+        infeas = std::max(0.0, slack);
+        wrong_sign = std::max(0.0, -y[i]);
+        break;
+      case RowType::kEq:
+        infeas = std::abs(slack);
+        break;
+    }
+    const double p_res = infeas / scale;
+    const double d_res = wrong_sign / dual_scale;
+    // A row with slack must carry a zero dual.
+    const double comp = std::min(std::abs(slack) / scale,
+                                 std::abs(y[i]) / dual_scale);
+    const std::string name = "row " + std::to_string(i);
+    if (p_res > tol) fail(name + " is violated");
+    if (d_res > tol) fail(name + " has a dual of the wrong sign");
+    if (comp > tol) fail(name + " has slack and a nonzero dual");
+    cert.primal_residual = std::max(cert.primal_residual, p_res);
+    cert.dual_residual = std::max(cert.dual_residual, d_res);
+    cert.complementarity = std::max(cert.complementarity, comp);
+    dual_obj += row.rhs * y[i];
+    gap_scale += std::abs(row.rhs * y[i]);
+  }
+
+  for (size_t j = 0; j < n; ++j) {
+    const double lo_scale = 1.0 + std::abs(lo[j]);
+    const double hi_scale = 1.0 + std::abs(hi[j]);
+    const double p_res = std::max(std::max(0.0, lo[j] - x[j]) / lo_scale,
+                                  std::max(0.0, x[j] - hi[j]) / hi_scale);
+    const std::string name = "variable " + std::to_string(j);
+    if (p_res > tol) fail(name + " is out of bounds");
+    cert.primal_residual = std::max(cert.primal_residual, p_res);
+
+    // The sign a reduced cost may take depends on where the variable sits:
+    // >= 0 at its lower bound, <= 0 at its upper bound, 0 in between (and
+    // for a free variable); a fixed variable's reduced cost is unconstrained.
+    const bool at_lo = std::isfinite(lo[j]) && x[j] - lo[j] <= tol * lo_scale;
+    const bool at_hi = std::isfinite(hi[j]) && hi[j] - x[j] <= tol * hi_scale;
+    double wrong = 0;
+    if (at_lo && !at_hi) {
+      wrong = std::max(0.0, -d[j]);
+    } else if (at_hi && !at_lo) {
+      wrong = std::max(0.0, d[j]);
+    } else if (!at_lo && !at_hi) {
+      wrong = std::abs(d[j]);
+    }
+    const double d_res = wrong / d_mag[j];
+    if (d_res > tol) fail(name + " has a reduced cost of the wrong sign");
+    cert.dual_residual = std::max(cert.dual_residual, d_res);
+
+    // Dual objective: each reduced cost pays at the bound its sign selects.
+    double bound = d[j] > 0 ? lo[j] : hi[j];
+    if (!std::isfinite(bound)) bound = x[j];
+    primal_obj += cost[j] * x[j];
+    dual_obj += d[j] * bound;
+    gap_scale += std::abs(cost[j] * x[j]) + std::abs(d[j] * bound);
+  }
+
+  cert.gap = std::abs(primal_obj - dual_obj) / gap_scale;
+  if (cert.gap > tol) fail("primal and dual objectives differ");
+  cert.ok = cert.failure.empty();
+  return cert;
 }
 
 }  // namespace ldr::lp

@@ -4,7 +4,7 @@
 // optimization at LDR's core, the MinMax traffic-engineering baselines, and
 // the locality extension of the gravity traffic-matrix model (§3, footnote
 // 3). No solver is available offline, so this module implements a
-// *bounded-variable* primal simplex:
+// *bounded-variable* revised simplex:
 //
 //   minimize    c^T x
 //   subject to  row_i: a_i^T x (<= | >= | =) b_i     for each row
@@ -12,9 +12,12 @@
 //
 // Bounds may be infinite on either side. Phase 1 uses the composite
 // (artificial-free) objective — the sum of bound violations of basic
-// variables — and phase 2 the real objective; both use Dantzig pricing with
-// a Bland's-rule fallback after a run of degenerate pivots, which guarantees
-// termination.
+// variables — and phase 2 the real objective. Both price entering columns
+// partially (a bounded candidate list refreshed by rotating sweeps, with a
+// full sweep only to prove optimality) and fall back to Bland's rule after a
+// run of degenerate pivots, which guarantees termination. A basis that bound
+// or rhs repair left primal infeasible re-enters through dual simplex
+// (SolveOptions::warm_restart).
 //
 // Two entry points:
 //
@@ -22,32 +25,32 @@
 //   * Solver: a long-lived object that keeps its factorized basis and bound
 //     state alive across calls.
 //
-// Storage contract (sparse LU basis, PR 7): the solver holds the *sparse
-// original* columns A_j plus a sparse LU factorization of the basis matrix B
-// itself — never an explicit B^-1, and never a working tableau B^-1·A. The
-// factorization is a Markowitz-ordered elimination PB = LU kept as compact
-// row-operation (L) and row-of-U arrays, plus a bounded *update file* of
-// product-form operations appended between refactorizations: one eta per
-// simplex pivot (the FTRAN-ed entering column, Forrest–Tomlin style) and one
-// row-extension per AddRow (the bordered [[B,0],[wᵀ,1]] growth). FTRAN
-// (B·x = a, the entering column) and BTRAN (Bᵀ·y = c, dual maintenance and
-// the post-pivot inverse-row read) are sparse triangular solves through L, U
-// and a replay of the file — ~O(nnz(L+U) + nnz(file)) per solve instead of
-// the PR 5 dense inverse's O(m²) per *pivot* (the eta update swept all m
-// columns of B^-1) and O(m²) resident doubles. Pricing still runs off
-// incrementally maintained duals (PR 3): a structural column is only ever
-// FTRAN-ed when it enters. Refactorize() rebuilds L and U from the exact
-// sparse basis columns with Markowitz pivoting (threshold-stability guarded,
+// Storage contract: the solver holds the *sparse original* columns A_j plus
+// a sparse LU factorization of the basis matrix B itself — never an explicit
+// B^-1, and never a working tableau B^-1·A. The factorization is a
+// Markowitz-ordered elimination PB = LU kept as compact row-operation (L)
+// and row-of-U arrays, plus a bounded *update file* of product-form
+// operations appended between refactorizations: one eta per simplex pivot
+// (the FTRAN-ed entering column, Forrest–Tomlin style) and one row-extension
+// per AddRow (the bordered [[B,0],[wᵀ,1]] growth). FTRAN (B·x = a, the
+// entering column) and BTRAN (Bᵀ·y = c, dual maintenance and the post-pivot
+// inverse-row read) are sparse triangular solves through L, U and a replay
+// of the file — ~O(nnz(L+U) + nnz(file)) per solve. Pricing runs off
+// incrementally maintained duals: a structural column is only ever FTRAN-ed
+// when it enters. Refactorization rebuilds L and U from the exact sparse
+// basis columns with Markowitz pivoting (threshold-stability guarded,
 // singular bases repaired by slack substitution), clears the file, and is
-// triggered by `refactor_interval`, by the eta file outgrowing its bound, or
-// forced by numerical recovery — so both drift *and* update-file memory stay
-// bounded. The structural deltas the Fig. 13 path-growth loop needs stay
-// cheap: AddColumn is O(1) (the new column rests nonbasic), AddRow appends
-// one file op, AddToRow/SetRhs cost one FTRAN. The PR 5 explicit-inverse
-// representation survives behind `SolveOptions::basis` (kDenseInverse) as
-// the A/B baseline the parity suite and benches diff against. Solve()
-// warm-starts primal simplex from the previous optimal basis (typically a
-// handful of pivots instead of a full cold solve).
+// triggered by `refactor_interval`, by the update file outgrowing its bound,
+// or forced by numerical recovery — so both drift *and* update-file memory
+// stay bounded. The structural deltas the Fig. 13 path-growth loop needs
+// stay cheap: AddColumn is O(1) (the new column rests nonbasic), AddRow
+// appends one file op, AddToRow/SetRhs cost one FTRAN. Solve() warm-starts
+// from the previous optimal basis (typically a handful of pivots instead of
+// a full cold solve).
+//
+// Every optimal answer carries its row duals, so CheckOptimality can certify
+// it against the original problem data alone — without trusting the
+// factorization that produced it.
 #ifndef LDR_LP_LP_H_
 #define LDR_LP_LP_H_
 
@@ -104,23 +107,14 @@ class Problem {
   std::vector<Row> rows_;
 };
 
-// Entering-variable pricing policy. Reduced costs are always computed from
-// incrementally maintained dual values y = c_B^T B^-1 (phase 2) or the
-// phase-1 subgradient duals, priced lazily against the *sparse original*
-// column as c_j - y^T A_j — never against the dense tableau column. The mode
-// controls how many columns get priced per iteration:
-//
-//   kPartial  (default) a bounded candidate list is re-priced each iteration;
-//             when it runs dry, rotating partial sweeps refresh it, escalating
-//             to a full sweep only to prove optimality. Prices O(list * nnz)
-//             columns per iteration instead of all n + m.
-//   kDantzig  classic full pricing: every nonbasic column priced every
-//             iteration (the A/B baseline; still dual-based, so it shares the
-//             same numerics as kPartial).
-enum class PricingMode { kPartial, kDantzig };
-
+// Partial pricing schedule. Reduced costs are computed from incrementally
+// maintained dual values y = c_B^T B^-1 (phase 2) or the phase-1
+// subgradient duals, priced lazily against the *sparse original* column as
+// c_j - y^T A_j. A bounded candidate list is re-priced each iteration; when
+// it runs dry, rotating partial sweeps refresh it, escalating to a full
+// sweep only to prove optimality — O(list * nnz) columns priced per
+// iteration instead of all n + m.
 struct PricingOptions {
-  PricingMode mode = PricingMode::kPartial;
   // Candidate-list capacity. 0 means automatic: clamp(n/16, 8, 64).
   int candidate_list = 0;
   // Columns scanned per partial refresh sweep before checking whether the
@@ -128,27 +122,11 @@ struct PricingOptions {
   int sweep = 0;
 };
 
-// Basis-factorization representation (see the storage contract above).
-//
-//   kSparseLU      (default) sparse LU of B with Markowitz refactorization
-//                  and a bounded eta/row-extension update file; per-pivot
-//                  work ~O(nnz(L+U)) and memory ~O(nnz).
-//   kDenseInverse  the PR 5 explicit m×m B^-1 with O(m²) product-form eta
-//                  updates — kept as the A/B baseline so benches and the
-//                  parity suite can diff the two representations on
-//                  identical problems.
-//
-// The `LDR_LP_BASIS` environment variable ("dense" / "lu"), when set,
-// overrides the configured mode — this is how CI runs the whole test suite
-// against the fallback representation without a second build.
-enum class BasisMode { kSparseLU, kDenseInverse };
-
+// Update-file bounds of the sparse LU basis (see the storage contract
+// above): mid-solve refactorization triggers, disabled together with the
+// drift guard by refactor_interval < 0. 0 means automatic: max(64, rows / 2)
+// ops / max(1024, 8 * nnz(L+U)) entries.
 struct BasisOptions {
-  BasisMode mode = BasisMode::kSparseLU;
-  // Mid-solve refactorization triggers that bound the update file (LU mode
-  // only; both respect refactor_interval < 0 disabling the drift guard).
-  // 0 means automatic: max(64, rows / 2) ops / max(1024, 8 * nnz(L+U))
-  // entries.
   int max_file_ops = 0;
   long max_file_entries = 0;
 };
@@ -160,15 +138,12 @@ struct SolveOptions {
   PricingOptions pricing;
   BasisOptions basis;
   // Periodic refactorization for long-lived solvers (controller epochs):
-  // once this many incremental B^-1 updates — pivots plus structural
-  // mutations folded into the factorization — have accumulated since the
-  // last exact factorization, the next Solve() re-establishes B^-1 from the
-  // recorded basis and the exact sparse columns before optimizing, bounding
-  // floating-point drift. Re-establishment costs O(m²) per basic column
-  // (there is no tableau to rebuild), so the automatic interval is far
-  // tighter than the old tableau-era guard: 0 means max(256, 8 * rows) —
-  // better numerics at negligible amortized cost. Negative disables the
-  // guard.
+  // once this many incremental updates — pivots plus structural mutations
+  // folded into the factorization — have accumulated since the last exact
+  // factorization, the next Solve() refactorizes the recorded basis from the
+  // exact sparse columns before optimizing, bounding floating-point drift.
+  // 0 means max(256, 8 * rows). Negative disables the guard (and the
+  // update-file bounds of BasisOptions with it).
   int refactor_interval = 0;
   // Wall-clock budget for one Solve() call, in milliseconds. Checked on
   // entry (before any refactorization) and at every simplex iteration, so a
@@ -187,9 +162,7 @@ struct SolveOptions {
   // instead of paying primal phase 1 + phase 2. Dual feasibility is
   // verified before entry (one pricing sweep) and the solver falls back to
   // the primal path — with its Bland anti-cycling guard — the moment the
-  // dual loop loses feasibility or progress. The `LDR_LP_WARM` environment
-  // variable ("cold" / "warm"), when set, overrides this flag — the A/B
-  // hook mirroring LDR_LP_BASIS.
+  // dual loop loses feasibility or progress.
   bool warm_restart = false;
 };
 
@@ -197,6 +170,12 @@ struct Solution {
   Status status = Status::kInfeasible;
   double objective = 0;
   std::vector<double> values;  // one per variable; empty unless optimal
+  // Row duals y = c_B^T B^-1, one per row; empty unless optimal. With the
+  // slack of row i entering a_i^T x + s_i = b_i, the reduced cost of
+  // variable j is c_j - sum_i y_i a_ij; at the optimum y_i <= 0 on binding
+  // kLe rows, y_i >= 0 on binding kGe rows, and y_i = 0 on slack rows.
+  // These are the phase-2 duals the final optimality sweep priced against.
+  std::vector<double> duals;
   int iterations = 0;
   // Pricing telemetry: nonbasic columns whose reduced cost was evaluated
   // over the whole solve (candidate re-pricing + refresh sweeps + optimality
@@ -208,18 +187,15 @@ struct Solution {
   int pivot_recoveries = 0;
   // Revised-simplex work/memory telemetry:
   // Resident bytes of the factorized state at the end of the solve — the
-  // L/U arrays plus the update file under kSparseLU, the m×m B^-1 storage
-  // under kDenseInverse.
+  // L/U arrays plus the update file.
   size_t basis_bytes = 0;
   // Total sparse input nonzeros fed through FTRAN (entering-column solves
   // B^-1·A_j) over the whole solve.
   long ftran_nnz = 0;
   // Basis-changing pivots over the solve: simplex basis changes (iterations
-  // minus bound flips) plus refactorization re-establishment pivots. Each
-  // costs one eta append + one BTRAN under kSparseLU, O(m²) under
-  // kDenseInverse — the count the per-pivot win multiplies.
+  // minus bound flips). Each costs one eta append + one BTRAN.
   int pivots = 0;
-  // LU-factorization telemetry (all zero under kDenseInverse):
+  // LU-factorization telemetry:
   // Stored nonzeros in L + U (pivots included) after the last sparse
   // refactorization.
   long lu_nnz = 0;
@@ -230,8 +206,7 @@ struct Solution {
   // fill-in factor (1.0 = no fill).
   double fill_ratio = 0;
   // Full refactorizations performed during this solve (interval/drift
-  // triggers, eta-file bounds, and numerical recoveries; counted in both
-  // basis modes).
+  // triggers, eta-file bounds, and numerical recoveries).
   int refactorizations = 0;
   // Dual-simplex pivots run while repairing a primal-infeasible warm basis
   // (SolveOptions::warm_restart; 0 for every primal-only solve).
@@ -323,10 +298,15 @@ class Solver {
   // the warm basis is primal infeasible, e.g. after SetRhs).
   Solution Solve();
 
-  // Drops the factorization; the next Solve() re-establishes it (a fresh
-  // Markowitz LU, or the explicit B^-1 under kDenseInverse) from the sparse
-  // columns under the current basis. Exposed for tests.
+  // Drops the factorization; the next Solve() refactorizes the current
+  // basis (a fresh Markowitz LU) from the sparse columns. Exposed for tests.
   void Invalidate();
+
+  // The LP this solver currently holds — variables, bounds, objective and
+  // rows, after every mutation so far — rebuilt from the sparse original
+  // data, never from the factorization. O(nnz); what CheckOptimality
+  // certifies a Solve() answer against.
+  Problem Snapshot() const;
 
  private:
   class Impl;
@@ -335,13 +315,32 @@ class Solver {
 
 Solution Solve(const Problem& problem, const SolveOptions& options = {});
 
-// Effective warm-restart mode: the `LDR_LP_WARM` environment variable
-// ("cold" disables, "warm" enables), when set, overrides `configured`.
-// Shared by the solver and by the routing layer's keep-vs-drop decision on
-// topology deltas, so one env knob flips the whole stack to the
-// cold-rebuild A/B baseline — exactly how LDR_LP_BASIS selects the basis
-// representation.
-bool ResolveWarmRestart(bool configured);
+// Independent optimality certificate for an lp::Solution, computed from
+// the original problem data alone (objective, bounds, row types, rhs and
+// coefficients) plus Solution::values and Solution::duals — never from a
+// factorization, so it cannot share a bug with the solver that produced the
+// answer. O(nnz). Checks, with every residual scaled by the magnitudes that
+// produced it:
+//   - primal feasibility: every bound and every row holds;
+//   - dual feasibility: each variable's reduced cost has the sign its
+//     position allows (>= 0 at a lower bound, <= 0 at an upper bound, 0
+//     strictly between or free), and each row dual the sign its row type
+//     allows (<= 0 for kLe, >= 0 for kGe);
+//   - complementary slackness: a row with slack has a zero dual;
+//   - strong duality: the primal objective equals the dual objective.
+struct Certificate {
+  bool ok = false;
+  // Largest scaled violation found in each class (0 when all hold).
+  double primal_residual = 0;
+  double dual_residual = 0;
+  double complementarity = 0;
+  double gap = 0;
+  // The first failed condition, human readable; empty when ok.
+  std::string failure;
+};
+
+Certificate CheckOptimality(const Problem& problem, const Solution& solution,
+                            double tol = 1e-6);
 
 }  // namespace ldr::lp
 

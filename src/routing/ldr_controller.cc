@@ -39,16 +39,14 @@ LdrController::LdrController(const Graph* graph, KspCache* cache,
                              const LdrControllerOptions& opts)
     : g_(graph), cache_(cache), opts_(opts) {}
 
-// Topology hooks (PR 9): under warm restarts the live LP is no longer
-// dropped on a topology delta — it is marked dirty and repaired in place on
-// the next epoch (dead-path variables fixed to zero, capacity rows
-// re-synced), with the solver re-entering via dual simplex off the
-// still-dual-feasible basis. LDR_LP_WARM=cold (or warm_restart=false in the
-// routing options) restores the drop-and-rebuild behavior as the A/B
-// baseline. KSP-cache handling is unchanged in both modes.
+// Topology hooks: under warm restarts the live LP is not dropped on
+// a topology delta — it is marked dirty and repaired in place on the next
+// epoch (dead-path variables fixed to zero, capacity rows re-synced), with
+// the solver re-entering via dual simplex off the still-dual-feasible
+// basis. warm_restart=false in the routing options drops the LP and
+// rebuilds it cold instead. KSP-cache handling is the same either way.
 void LdrController::MarkLpStale() {
-  if (lp::ResolveWarmRestart(opts_.routing.lp.warm_restart) &&
-      reuse_.lp != nullptr) {
+  if (opts_.routing.lp.warm_restart && reuse_.lp != nullptr) {
     reuse_.lp->MarkTopologyDirty();
   } else {
     DropWarmState();

@@ -54,8 +54,8 @@ struct LdrControllerResult {
   double solve_ms_total = 0;
   // True when this epoch re-entered the previous epoch's live LP with
   // demand deltas instead of rebuilding it (always false for the one-epoch
-  // RunLdrController wrapper; under LDR_LP_WARM=cold also false for the
-  // first epoch after a topology delta).
+  // RunLdrController wrapper; with routing.lp.warm_restart off also false
+  // for the first epoch after a topology delta).
   bool warm_epoch = false;
   // True when this epoch's warm re-entry repaired the live LP in place
   // after a topology delta (dead-path variables fixed to zero, capacity
@@ -91,8 +91,8 @@ std::vector<double> AdvancePredictors(
 // engine owns one of these and threads topology deltas through the
 // OnLinkDown / OnLinkUp / OnCapacityChange hooks, which invalidate exactly
 // as much of that state as the delta requires (PR 9: under warm restarts —
-// the default; LDR_LP_WARM=cold is the A/B baseline — the LP is marked
-// dirty and repaired in place instead of dropped):
+// the default; routing.lp.warm_restart=false is the cold baseline — the LP
+// is marked dirty and repaired in place instead of dropped):
 //
 //   demand change      nothing — RunEpoch pushes demand deltas warm
 //   capacity change    LP marked dirty (capacity-row coefficients re-synced

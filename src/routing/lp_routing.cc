@@ -32,8 +32,6 @@ double ClassWeight(const std::vector<double>& class_weights,
 
 lp::SolveOptions SolverOptionsFor(const RoutingLpOptions& opts) {
   lp::SolveOptions so;
-  so.pricing = opts.pricing;
-  so.basis = opts.basis;
   so.max_iters = opts.max_iters;
   so.deadline_ms = opts.deadline_ms;
   so.warm_restart = opts.warm_restart;
@@ -389,7 +387,8 @@ RoutingLpResult IncrementalRoutingLp::Solve(
   EnsureLinkRows();
   if (topology_dirty_) RepairTopology();
 
-  lp::Solution sol = solver_.Solve();
+  last_ = solver_.Solve();
+  const lp::Solution& sol = last_;
   result.status = sol.status;
   result.columns_priced = sol.columns_priced;
   result.iterations = sol.iterations;
@@ -660,10 +659,10 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   // canonicalization rebuild one epoch later regrows from scratch and
   // restores the full-quality placement off that path.
   const bool grow_allowed = opts.grow && !outcome.topology_repaired;
-  int round = 0;
-  for (; round < opts.max_rounds; ++round) {
+  for (int round = 0; round < opts.max_rounds; ++round) {
     res = ilp != nullptr ? ilp->Solve(paths)
                          : SolveRoutingLp(store, aggregates, paths, opts.lp);
+    ++outcome.lp_rounds;
     accumulate(res);
     if (!res.solved) {
       ++outcome.lp_failures;
@@ -764,10 +763,12 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     paths = best_paths;
   }
 
-  outcome.lp_rounds = round + 1;
   if (res.solved) {
+    // `res` was solved over a prefix of `paths` when the round budget ran
+    // out right after a growth step (growth is append-only): install only
+    // the paths the LP actually priced.
     for (size_t a = 0; a < aggregates.size(); ++a) {
-      for (size_t pi = 0; pi < paths[a].size(); ++pi) {
+      for (size_t pi = 0; pi < res.fractions[a].size(); ++pi) {
         double f = res.fractions[a][pi];
         if (f <= 1e-9) continue;
         outcome.allocations[a].push_back({paths[a][pi], f});

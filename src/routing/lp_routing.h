@@ -48,14 +48,6 @@ struct RoutingLpOptions {
   // last entry when c is out of range). With {10, 1}, class-0 traffic wins
   // contended short paths over class-1 traffic. Empty = all classes equal.
   std::vector<double> class_weights;
-  // Entering-variable pricing policy handed to the underlying lp::Solver
-  // (partial candidate-list pricing by default; kDantzig full sweeps are the
-  // A/B baseline the benches compare against).
-  lp::PricingOptions pricing;
-  // Basis-factorization representation handed to the underlying lp::Solver
-  // (sparse LU by default; kDenseInverse is the A/B baseline the benches
-  // and parity suites diff against).
-  lp::BasisOptions basis;
   // Per-solve budgets forwarded to lp::SolveOptions — the controller's
   // epoch decision guard. max_iters 0 keeps the solver's automatic cap;
   // deadline_ms is a wall-clock budget per LP solve (negative disables,
@@ -68,7 +60,8 @@ struct RoutingLpOptions {
   // alive through LinkDown/LinkUp/CapacityScale, repairs it in place, and
   // the solver re-enters via dual simplex when the warm basis is
   // primal-infeasible-but-dual-feasible. Default on at the routing layer;
-  // LDR_LP_WARM=cold is the env A/B override (see lp::ResolveWarmRestart).
+  // false drops the LP on every topology delta and rebuilds it cold — the
+  // baseline the warm_restart_parity comparison runs against.
   bool warm_restart = true;
 };
 
@@ -93,12 +86,11 @@ struct RoutingLpResult {
   int iterations = 0;
   // Revised-simplex telemetry (see lp::Solution): basis-changing pivots,
   // sparse nonzeros fed through FTRAN, and the resident bytes of the
-  // solver's factorized state (L/U + update file under sparse LU, the
-  // explicit B^-1 under the dense fallback).
+  // solver's factorized state (L/U + update file).
   int pivots = 0;
   long ftran_nnz = 0;
   size_t basis_bytes = 0;
-  // Sparse-LU telemetry (see lp::Solution; all zero under kDenseInverse).
+  // Sparse-LU telemetry (see lp::Solution).
   long lu_nnz = 0;
   int eta_count = 0;
   double fill_ratio = 0;
@@ -147,7 +139,7 @@ class IncrementalRoutingLp {
   void UpdateDemands(const std::vector<Aggregate>& aggregates);
 
   // Drops the live solver's factorization so the next Solve() re-establishes
-  // it from the exact sparse columns (a fresh Markowitz LU by default) — the
+  // it from the exact sparse columns (a fresh Markowitz LU) — the
   // degradation ladder's rung 1 repair for drift-induced solve failures.
   void ForceRefactorize() { solver_.Invalidate(); }
 
@@ -159,6 +151,11 @@ class IncrementalRoutingLp {
   void MarkTopologyDirty() { topology_dirty_ = true; }
   bool topology_dirty() const { return topology_dirty_; }
 
+  // The live solver and its most recent answer, for certifying the routing
+  // LP with lp::CheckOptimality(solver().Snapshot(), last_solution()).
+  const lp::Solver& solver() const { return solver_; }
+  const lp::Solution& last_solution() const { return last_; }
+
  private:
   double Weight(size_t a) const;
   void EnsureLinkRows();
@@ -169,6 +166,7 @@ class IncrementalRoutingLp {
   RoutingLpOptions opts_;
   std::vector<Aggregate> aggs_;
   lp::Solver solver_;
+  lp::Solution last_;
   bool init_ = false;
   double cap_scale_ = 1.0;
   double weight_denom_ = 1.0;

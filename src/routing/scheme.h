@@ -68,16 +68,14 @@ struct RoutingOutcome {
   long lp_columns_priced = 0;
   long lp_iterations = 0;
   // Revised-simplex telemetry over all LP rounds: basis-changing pivots,
-  // FTRAN input nonzeros (the O(m·nnz) entering-column solves), and the
-  // peak resident bytes of the solver's factorization (B^-1; the dropped
-  // dense tableau would have added O((n+m)·m) on top).
+  // FTRAN input nonzeros (the entering-column solves), and the peak
+  // resident bytes of the solver's factorization (L/U + update file).
   long lp_pivots = 0;
   long lp_ftran_nnz = 0;
   size_t lp_basis_bytes = 0;
-  // Sparse-LU telemetry over all LP rounds (PR 7; all zero under the
-  // kDenseInverse fallback): peak factor nonzeros, peak update-file length,
-  // peak fill-in ratio (nnz(L+U) / nnz(B)), and total Markowitz
-  // refactorizations across solves.
+  // Sparse-LU telemetry over all LP rounds: peak factor nonzeros,
+  // peak update-file length, peak fill-in ratio (nnz(L+U) / nnz(B)), and
+  // total Markowitz refactorizations across solves.
   long lp_lu_nnz = 0;
   int lp_eta_count = 0;
   double lp_fill_ratio = 0;

@@ -232,8 +232,8 @@ struct ScenarioReport {
   std::vector<ScenarioEventReport> events;
   // Warm / dual-repaired / cold epoch split. Cold = LP rebuilt from
   // scratch: the first epoch, the canonicalization epoch after a repair,
-  // and (under LDR_LP_WARM=cold) every epoch after a topology delta — or
-  // all epochs when incremental is off. Dual-repaired = the LP was fixed in
+  // and (with routing.lp.warm_restart off) every epoch after a topology
+  // delta — or all epochs when incremental is off. Dual-repaired = the LP was fixed in
   // place after a topology event (PR 9).
   size_t warm_epochs = 0;
   size_t cold_epochs = 0;

@@ -16,6 +16,7 @@
 #include "sim/corpus_runner.h"
 #include "sim/evaluate.h"
 #include "sim/workload.h"
+#include "tests/lp_certify.h"
 #include "topology/topology.h"
 #include "topology/zoo_corpus.h"
 #include "util/random.h"
@@ -322,20 +323,13 @@ TEST(RevisedLpParity, PlacementHashParityOnZooCorpus) {
   ASSERT_GE(checked, 3u);
 }
 
-// Cross-representation parity on the zoo corpus (PR 7): the same Fig. 13
-// run solved under the sparse-LU basis and under the dense-inverse fallback.
-// Bitwise placement equality across representations is NOT attainable: on
-// degenerate LPs (grids and rings are full of exactly-tied equal-delay
-// paths) the Harris ratio test breaks exact ties by pivot magnitude, and
-// FTRAN through triangular solves vs a dense inverse differs in the last
-// ulp — so the two modes can legitimately land on different vertices of the
-// same optimal face. What must hold, and is asserted here: (a) both modes
-// reach placements of identical quality — max overload/utilization and
-// flow-weighted mean delay agree to solver tolerance — and (b) each
-// representation is bitwise deterministic run-to-run, so within a mode the
-// placement hash is still an exact fingerprint (the dense twin of
-// PlacementHashParityOnZooCorpus's anchor (a)).
-TEST(RevisedLpParity, LuVsDenseParityOnZooCorpus) {
+// Certified routing LPs on the zoo corpus: the final LP of each Fig. 13
+// run — the live incremental solver after every growth round, warm
+// re-solves and all — must pass the KKT certificate against its own
+// problem data, in both the LDR (overload) and the MinMax (utilization)
+// formulation. The placement itself is pinned by the hash anchors above;
+// this proves the LP behind it was solved to optimality.
+TEST(RoutingLpCertificate, ZooCorpusRoutingLpsCertify) {
   std::vector<Topology> corpus = ZooCorpus();
   size_t checked = 0;
   for (size_t ti = 0; ti < corpus.size(); ti += 9) {
@@ -346,41 +340,20 @@ TEST(RevisedLpParity, LuVsDenseParityOnZooCorpus) {
     WorkloadOptions wopts;
     wopts.num_instances = 1;
     wopts.seed = 987 + ti;
-
-    const lp::BasisMode modes[2] = {lp::BasisMode::kSparseLU,
-                                    lp::BasisMode::kDenseInverse};
-    double levels[2];
-    double delays[2];
-    uint64_t dense_hashes[2];
-    for (int run = 0; run < 2; ++run) {
+    for (bool minmax : {false, true}) {
       IterativeOptions opts;
-      opts.lp.basis.mode = modes[run];
+      opts.lp.minmax = minmax;
       KspCache cache(&g);
       std::vector<Aggregate> aggs = MakeScaledWorkloads(t, &cache, wopts)[0];
-      RoutingOutcome out = IterativeLpRoute(g, aggs, &cache, opts);
-      levels[run] = out.max_level;
-      delays[run] = 0;
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        delays[run] += aggs[a].flow_count *
-                       AggregateDelayMs(*out.store, out.allocations[a]);
-      }
-      if (modes[run] == lp::BasisMode::kDenseInverse) {
-        // (b) dense determinism: a second independent dense run must
-        // reproduce the placement hash exactly.
-        dense_hashes[0] = PlacementHash(out);
-        KspCache cache2(&g);
-        std::vector<Aggregate> aggs2 =
-            MakeScaledWorkloads(t, &cache2, wopts)[0];
-        dense_hashes[1] =
-            PlacementHash(IterativeLpRoute(g, aggs2, &cache2, opts));
-      }
+      LpReuseContext reuse;
+      RoutingOutcome out = IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+      EXPECT_EQ(out.fallback, FallbackRung::kNone) << t.name;
+      ASSERT_NE(reuse.lp, nullptr) << t.name;
+      const lp::Solution& sol = reuse.lp->last_solution();
+      ASSERT_TRUE(sol.ok()) << t.name;
+      EXPECT_TRUE(test::Certified(reuse.lp->solver().Snapshot(), sol))
+          << t.name << (minmax ? " (MinMax)" : " (LDR)");
     }
-    EXPECT_NEAR(levels[0], levels[1], 1e-6 * (1 + std::abs(levels[1])))
-        << t.name << ": LU vs dense max_level";
-    EXPECT_NEAR(delays[0], delays[1], 1e-5 * (1 + delays[1]))
-        << t.name << ": LU vs dense flow-weighted delay";
-    EXPECT_EQ(dense_hashes[0], dense_hashes[1])
-        << t.name << ": dense run-to-run hash drift";
   }
   ASSERT_GE(checked, 3u);
 }

@@ -580,10 +580,16 @@ TEST_F(FaultInjectionTest, FaultWindowDegradesThenReconverges) {
 // lost and must fall back to primal phase 1 *inside* the solver — invisible
 // to the degradation ladder (the repair still succeeds), every placement
 // valid, and the run reconverging bitwise with the fault-free one outside
-// the per-event canonicalization windows.
-TEST_F(FaultInjectionTest, DualInfeasibleFallbackCampaign) {
-  const char* env = std::getenv("LDR_LP_WARM");
-  const bool warm = env == nullptr || std::string(env) != "cold";
+// the per-event canonicalization windows. Runs with warm restarts on and
+// off (the cold baseline, where the failpoint is never reached).
+class DualInfeasibleFallbackTest : public FaultInjectionTest,
+                                   public ::testing::WithParamInterface<bool> {
+};
+
+TEST_P(DualInfeasibleFallbackTest, DualInfeasibleFallbackCampaign) {
+  const bool warm = GetParam();
+  ScenarioEngineOptions opts;
+  opts.controller.routing.lp.warm_restart = warm;
   Topology t = FailoverNet();
   Scenario s;
   s.name = "dual-loss";
@@ -599,13 +605,13 @@ TEST_F(FaultInjectionTest, DualInfeasibleFallbackCampaign) {
   fw.until_epoch = 7;  // covers both the LinkDown and LinkUp repairs
   faulted.faults.push_back(fw);
 
-  ScenarioReport clean = ScenarioEngine(t, s).Run();
-  ScenarioReport degraded = ScenarioEngine(t, faulted).Run();
+  ScenarioReport clean = ScenarioEngine(t, s, opts).Run();
+  ScenarioReport degraded = ScenarioEngine(t, faulted, opts).Run();
   long hits = Failpoint::HitCount("lp.dual_infeasible");
   EXPECT_FALSE(Failpoint::IsActive("lp.dual_infeasible"));
 
   // The site sits inside the warm-entry gate: hit exactly when repaired
-  // epochs would have entered the dual loop (never under LDR_LP_WARM=cold,
+  // epochs would have entered the dual loop (never without warm restarts,
   // where events drop the LP and rebuild cold).
   EXPECT_EQ(hits > 0, warm);
 
@@ -634,6 +640,12 @@ TEST_F(FaultInjectionTest, DualInfeasibleFallbackCampaign) {
         << "epoch " << e;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(WarmRestart, DualInfeasibleFallbackTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Warm" : "Cold";
+                         });
 
 // ---------------------------------------------------------------------------
 // The randomized fault-campaign soak.

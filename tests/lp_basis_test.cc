@@ -1,59 +1,39 @@
-// PR 7 coverage for the basis-representation knob: the sparse-LU
-// factorization (default) against the explicit dense-inverse fallback.
-//
-// The two representations must be interchangeable: identical mutation
-// sequences solved under both modes reach the same objectives, the LU
-// telemetry is populated only when LU actually ran, the eta/spike update
-// file stays bounded by the refactorization triggers, a near-singular
-// recorded basis survives refactorization (Markowitz threshold pivoting +
-// the singular-repair slack substitution), and the lp.refactor_singular
-// failpoint still turns refactorization failure into a clean !ok() solve.
-//
-// The whole file honors LDR_LP_BASIS: under the CI dense A/B registration
-// (ctest lp_basis_test_dense_basis) both "modes" resolve to dense and the
-// cross-mode comparisons become self-comparisons — still valid, just
-// degenerate — while LU-only assertions are skipped via SolverUsesLu().
+// Coverage for the sparse-LU basis: randomized mutation sequences with a
+// tight update-file bound (so refactorizations land between and inside
+// solves) certified by the KKT check at every checkpoint, the LU telemetry,
+// the eta/row-extension update file staying bounded by its refactorization
+// triggers, a near-singular recorded basis surviving refactorization
+// (Markowitz threshold pivoting + the singular-repair slack substitution),
+// and the lp.refactor_singular failpoint turning refactorization failure
+// into a clean !ok() solve.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/lp_shapes.h"
 #include "lp/lp.h"
+#include "tests/lp_certify.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
 namespace ldr::lp {
 namespace {
 
-// Mirrors the solver's LDR_LP_BASIS resolution: the env var, when set,
-// overrides any configured BasisOptions::mode.
-bool SolverUsesLu() {
-  const char* env = std::getenv("LDR_LP_BASIS");
-  return env == nullptr || std::string(env) != "dense";
-}
+// --- certified answers across mutations and refactorizations --------------
 
-SolveOptions WithBasis(BasisMode mode) {
-  SolveOptions so;
-  so.basis.mode = mode;
-  return so;
-}
+// The lp_test mutation-sequence generator, run with the update file capped
+// at four ops so nearly every checkpoint solves across one or more
+// mid-solve refactorizations. Every answer must certify against the
+// solver's own Snapshot() of the accumulated problem.
+class LpBasisMutationTest : public ::testing::TestWithParam<int> {};
 
-// --- cross-representation parity on randomized mutation sequences ----------
-
-// The lp_test mutation-sequence generator, driven once and applied to two
-// solvers in lockstep — one per basis representation. After every re-solve
-// both must be optimal with equal objectives. This is the LU-vs-dense twin
-// of LpMutationSequenceTest's warm-vs-cold parity.
-class LpBasisMutationParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(LpBasisMutationParityTest, LuAndDenseAgreeAcrossMutations) {
+TEST_P(LpBasisMutationTest, AnswersCertifyAcrossRefactorizations) {
   Rng rng(static_cast<uint64_t>(23000 + GetParam()));
-  Solver lu(WithBasis(BasisMode::kSparseLU));
-  Solver dense(WithBasis(BasisMode::kDenseInverse));
+  SolveOptions so;
+  so.basis.max_file_ops = 4;
+  Solver solver(so);
   size_t nvars = 0;
   size_t nrows = 0;
 
@@ -69,8 +49,7 @@ TEST_P(LpBasisMutationParityTest, LuAndDenseAgreeAcrossMutations) {
       if (rng.NextIndex(3) != 0) continue;
       coeffs.emplace_back(static_cast<int>(r), rng.Uniform(-2, 2));
     }
-    ASSERT_EQ(lu.AddColumn(0, h, c, coeffs), static_cast<int>(nvars));
-    ASSERT_EQ(dense.AddColumn(0, h, c, coeffs), static_cast<int>(nvars));
+    ASSERT_EQ(solver.AddColumn(0, h, c, coeffs), static_cast<int>(nvars));
     ++nvars;
   };
   auto add_row = [&] {
@@ -81,24 +60,21 @@ TEST_P(LpBasisMutationParityTest, LuAndDenseAgreeAcrossMutations) {
       if (rng.NextIndex(3) != 0) continue;
       coeffs.emplace_back(static_cast<int>(j), rng.Uniform(-2, 2));
     }
-    ASSERT_EQ(lu.AddRow(type, rhs, coeffs), static_cast<int>(nrows));
-    ASSERT_EQ(dense.AddRow(type, rhs, coeffs), static_cast<int>(nrows));
+    ASSERT_EQ(solver.AddRow(type, rhs, coeffs), static_cast<int>(nrows));
     row_types.push_back(type);
     ++nrows;
   };
-  auto check_parity = [&](int step) {
-    Solution sl = lu.Solve();
-    Solution sd = dense.Solve();
-    ASSERT_TRUE(sl.ok()) << ToString(sl.status) << " step " << step;
-    ASSERT_TRUE(sd.ok()) << ToString(sd.status) << " step " << step;
-    EXPECT_NEAR(sl.objective, sd.objective,
-                1e-6 * (1 + std::abs(sd.objective)))
-        << "step " << step;
+  int refactorizations = 0;
+  auto check = [&](int step) {
+    Solution s = solver.Solve();
+    ASSERT_TRUE(s.ok()) << ToString(s.status) << " step " << step;
+    refactorizations += s.refactorizations;
+    EXPECT_TRUE(test::Certified(solver.Snapshot(), s)) << "step " << step;
   };
 
   for (int j = 0; j < 4; ++j) add_column();
   for (int r = 0; r < 3; ++r) add_row();
-  check_parity(-1);
+  check(-1);
   for (int step = 0; step < 40; ++step) {
     switch (rng.NextIndex(6)) {
       case 0:
@@ -112,77 +88,48 @@ TEST_P(LpBasisMutationParityTest, LuAndDenseAgreeAcrossMutations) {
         if (nrows == 0 || nvars == 0) break;
         int r = static_cast<int>(rng.NextIndex(nrows));
         int v = static_cast<int>(rng.NextIndex(nvars));
-        double delta = rng.Uniform(-0.5, 0.5);
-        lu.AddToRow(r, v, delta);
-        dense.AddToRow(r, v, delta);
+        solver.AddToRow(r, v, rng.Uniform(-0.5, 0.5));
         break;
       }
       default: {
         if (nrows == 0) break;
         size_t r = rng.NextIndex(nrows);
-        double rhs = rand_rhs(row_types[r]);
-        lu.SetRhs(static_cast<int>(r), rhs);
-        dense.SetRhs(static_cast<int>(r), rhs);
+        solver.SetRhs(static_cast<int>(r), rand_rhs(row_types[r]));
         break;
       }
     }
-    if (step % 5 == 4) check_parity(step);
+    if (step % 5 == 4) check(step);
   }
+  // The cap actually forced refactorizations along the way.
+  EXPECT_GE(refactorizations, 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LpBasisMutationParityTest,
-                         ::testing::Range(1, 13));
+INSTANTIATE_TEST_SUITE_P(Seeds, LpBasisMutationTest, ::testing::Range(1, 13));
 
-// The same cross-mode agreement under full-Dantzig pricing — the
-// lp_pricing_test mutation axis crossed with the basis axis, on cold solves
-// of routing-shaped LPs (both pricing modes run under both representations).
-TEST(LpBasisParity, RoutingShapesAgreeAcrossPricingAndBasisModes) {
+// Cold solves of routing-shaped LPs — the Fig. 12 structure with unit-sum
+// rows, capacity rows and 1e6-weighted overload variables — certify.
+TEST(LpBasisCertificate, RoutingShapesCertify) {
   for (uint64_t seed = 61; seed < 66; ++seed) {
     auto spec = bench::RoutingLpSpec::Random(seed, 40, 20);
     Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
-    double reference = 0;
-    bool first = true;
-    for (BasisMode basis : {BasisMode::kSparseLU, BasisMode::kDenseInverse}) {
-      for (PricingMode pricing :
-           {PricingMode::kPartial, PricingMode::kDantzig}) {
-        SolveOptions so = WithBasis(basis);
-        so.pricing.mode = pricing;
-        Solution s = Solve(p, so);
-        ASSERT_TRUE(s.ok()) << ToString(s.status) << " seed " << seed;
-        if (first) {
-          reference = s.objective;
-          first = false;
-        } else {
-          EXPECT_NEAR(s.objective, reference,
-                      1e-6 * (1 + std::abs(reference)))
-              << "seed " << seed;
-        }
-      }
-    }
+    Solution s = Solve(p);
+    ASSERT_TRUE(s.ok()) << ToString(s.status) << " seed " << seed;
+    EXPECT_TRUE(test::Certified(p, s)) << "seed " << seed;
   }
 }
 
 // --- telemetry --------------------------------------------------------------
 
-TEST(LpBasisTelemetry, LuFieldsPopulatedOnlyUnderLu) {
+TEST(LpBasisTelemetry, LuFieldsPopulated) {
   auto spec = bench::RoutingLpSpec::Random(77, 60, 30);
   Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
 
-  Solution sl = Solve(p, WithBasis(BasisMode::kSparseLU));
-  ASSERT_TRUE(sl.ok());
-  if (SolverUsesLu()) {
-    EXPECT_GT(sl.lu_nnz, 0);
-    EXPECT_GE(sl.fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
-    EXPECT_GE(sl.refactorizations, 1);
-    EXPECT_GT(sl.basis_bytes, 0u);
-  }
-
-  Solution sd = Solve(p, WithBasis(BasisMode::kDenseInverse));
-  ASSERT_TRUE(sd.ok());
-  EXPECT_EQ(sd.lu_nnz, 0);
-  EXPECT_EQ(sd.eta_count, 0);
-  EXPECT_EQ(sd.fill_ratio, 0.0);
-  EXPECT_GT(sd.basis_bytes, 0u);
+  Solution s = Solve(p);
+  ASSERT_TRUE(s.ok());
+  EXPECT_GT(s.lu_nnz, 0);
+  EXPECT_GE(s.fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
+  EXPECT_GE(s.refactorizations, 1);
+  EXPECT_GT(s.basis_bytes, 0u);
 }
 
 // --- eta-file growth bound --------------------------------------------------
@@ -191,10 +138,9 @@ TEST(LpBasisTelemetry, LuFieldsPopulatedOnlyUnderLu) {
 // update file reported at the end of each solve must respect the cap: the
 // eta file cannot grow without bound no matter how many pivots a solve runs.
 TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
-  if (!SolverUsesLu()) GTEST_SKIP() << "LDR_LP_BASIS=dense forces dense mode";
   auto spec = bench::RoutingLpSpec::Random(31, 80, 40);
 
-  SolveOptions so = WithBasis(BasisMode::kSparseLU);
+  SolveOptions so;
   so.basis.max_file_ops = 8;
   bench::WarmLp warm = bench::BuildSolverBase(spec, so);
   Solution s0 = warm.solver.Solve();
@@ -211,9 +157,7 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
 
   // Same LP with the trigger left automatic: the file still ends bounded by
   // the documented max(64, m/2) ops ceiling.
-  Solution sauto =
-      Solve(bench::BuildProblem(spec, /*with_growth=*/true),
-            WithBasis(BasisMode::kSparseLU));
+  Solution sauto = Solve(bench::BuildProblem(spec, /*with_growth=*/true));
   ASSERT_TRUE(sauto.ok());
   long rows = static_cast<long>(
       bench::BuildProblem(spec, true).RowCount());
@@ -229,7 +173,7 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
 // objective as a cold solve of the same problem.
 TEST(LpBasisNumerics, NearSingularBasisRefactorizes) {
   const double eps = 1e-6;
-  Solver solver(WithBasis(BasisMode::kSparseLU));
+  Solver solver;
   int x0 = solver.AddColumn(0, 2, -1.0, {});
   int x1 = solver.AddColumn(0, 2, -1.0, {});
   solver.AddRow(RowType::kEq, 1.5, {{x0, 1.0}, {x1, 1.0}});
@@ -243,6 +187,7 @@ TEST(LpBasisNumerics, NearSingularBasisRefactorizes) {
   Solution again = solver.Solve();
   ASSERT_TRUE(again.ok()) << ToString(again.status);
   EXPECT_NEAR(again.objective, first.objective, 1e-6);
+  EXPECT_TRUE(test::Certified(solver.Snapshot(), again));
 }
 
 // Zeroing a basic column's only row entry via AddToRow leaves the recorded
@@ -250,8 +195,7 @@ TEST(LpBasisNumerics, NearSingularBasisRefactorizes) {
 // slack (RepairSingularBasis), and the re-solve must recover the new optimum
 // instead of reporting a numerical failure.
 TEST(LpBasisNumerics, SingularBasisRepairedBySlackSubstitution) {
-  if (!SolverUsesLu()) GTEST_SKIP() << "LDR_LP_BASIS=dense forces dense mode";
-  Solver solver(WithBasis(BasisMode::kSparseLU));
+  Solver solver;
   int x = solver.AddColumn(0, 5, -1.0, {});
   int row = solver.AddRow(RowType::kLe, 3.0, {{x, 1.0}});
   Solution first = solver.Solve();
@@ -265,17 +209,16 @@ TEST(LpBasisNumerics, SingularBasisRepairedBySlackSubstitution) {
   ASSERT_TRUE(repaired.ok()) << ToString(repaired.status);
   // With the row constraint gone, x runs to its upper bound.
   EXPECT_NEAR(repaired.objective, -5.0, 1e-6);
+  EXPECT_TRUE(test::Certified(solver.Snapshot(), repaired));
 }
 
 // --- lp.refactor_singular failpoint -----------------------------------------
 
-// The failpoint sits at the top of the Refactorize dispatcher, so it fires
-// identically under LU: an invalidated solver whose refactorization "fails"
-// must surface a clean non-ok solve, and recover once the failpoint clears.
+// An invalidated solver whose refactorization "fails" must surface a clean
+// non-ok solve, and recover once the failpoint clears.
 TEST(LpBasisFailpoints, RefactorSingularFiresUnderLu) {
   auto spec = bench::RoutingLpSpec::Random(19, 30, 15);
-  SolveOptions so = WithBasis(BasisMode::kSparseLU);
-  bench::WarmLp warm = bench::BuildSolverBase(spec, so);
+  bench::WarmLp warm = bench::BuildSolverBase(spec);
   Solution s0 = warm.solver.Solve();
   ASSERT_TRUE(s0.ok());
 

@@ -4,46 +4,50 @@
 // optimality with dual steps instead of primal phase 1 + phase 2.
 //
 // Covered here:
-//  - the entry truth table (configured off / cold first solve / primal
-//    feasible mutation / repair under a dual-feasible basis / dual
-//    feasibility lost / genuinely infeasible repair);
+//  - the entry truth table (cold first solve / primal feasible mutation /
+//    repair under a dual-feasible basis, entered only when warm_restart is
+//    on / dual feasibility lost / genuinely infeasible repair);
 //  - dual ratio-test ties and degenerate (zero-length) dual steps;
-//  - randomized bound/rhs-perturbation parity against from-scratch cold
-//    solves, across both basis representations and both pricing modes;
+//  - randomized bound/rhs-perturbation runs whose every answer passes the
+//    KKT certificate and matches a from-scratch cold solve;
 //  - the lp.dual_infeasible failpoint forcing the primal fallback.
 //
-// The file honors LDR_LP_WARM exactly like the solver does: under the CI
-// cold re-registration (ctest lp_dual_test_cold_warm) every dual-entry
-// expectation flips to "stayed on the primal path" — parity assertions are
-// mode-independent and run unchanged.
+// Every test that repairs a warm basis runs twice, as a TEST_P over
+// SolveOptions::warm_restart: with it on the repairs enter dual simplex,
+// with it off the same repairs stay on the primal path (the cold-rebuild
+// baseline) — optimality assertions are mode-independent and run
+// unchanged, dual-entry expectations follow the parameter.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bench/lp_shapes.h"
 #include "lp/lp.h"
+#include "tests/lp_certify.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
 namespace ldr::lp {
 namespace {
 
-// Mirrors ResolveWarmRestart: the env var, when set, overrides `configured`.
-bool DualWarmEnabled(bool configured) {
-  const char* e = std::getenv("LDR_LP_WARM");
-  if (e != nullptr && std::strcmp(e, "cold") == 0) return false;
-  if (e != nullptr && std::strcmp(e, "warm") == 0) return true;
-  return configured;
-}
-
 SolveOptions WithWarm(bool warm) {
   SolveOptions so;
   so.warm_restart = warm;
   return so;
+}
+
+// Parameterized over SolveOptions::warm_restart.
+class LpDualTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool Warm() const { return GetParam(); }
+};
+
+std::string WarmName(const ::testing::TestParamInfo<bool>& param) {
+  return param.param ? "Warm" : "Cold";
 }
 
 // min x0 + x1  s.t.  x0 + x1 >= rhs,  x in [0, 4] — the smallest LP whose
@@ -66,35 +70,20 @@ TinyLp MakeTiny(const SolveOptions& so, double rhs = 2.0) {
 
 // --- entry truth table ------------------------------------------------------
 
-TEST(LpDualEntry, ConfiguredOffStaysOnThePrimalPath) {
-  TinyLp t = MakeTiny(WithWarm(false));
-  Solution s0 = t.solver.Solve();
-  ASSERT_TRUE(s0.ok());
-  EXPECT_FALSE(s0.warm_restart);
-  t.solver.SetRhs(t.row, 5.0);
-  Solution s1 = t.solver.Solve();
-  ASSERT_TRUE(s1.ok());
-  EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_EQ(s1.warm_restart, DualWarmEnabled(false));
-  if (!DualWarmEnabled(false)) {
-    EXPECT_EQ(s1.dual_pivots, 0);
-  }
-}
-
-TEST(LpDualEntry, ColdFirstSolveNeverEntersDual) {
+TEST_P(LpDualTest, ColdFirstSolveNeverEntersDual) {
   // ever-optimal gate: with no previously certified basis the first solve
   // takes the primal path even with warm_restart configured on.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
   EXPECT_FALSE(s0.warm_restart);
   EXPECT_EQ(s0.dual_pivots, 0);
 }
 
-TEST(LpDualEntry, PrimalFeasibleMutationSkipsDual) {
+TEST_P(LpDualTest, PrimalFeasibleMutationSkipsDual) {
   // AddColumn keeps the basis primal feasible (the Fig. 13 growth path);
   // there is nothing for dual simplex to repair.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.AddColumn(0, 4, 0.5, {{t.row, 1.0}});
   Solution s1 = t.solver.Solve();
@@ -104,24 +93,27 @@ TEST(LpDualEntry, PrimalFeasibleMutationSkipsDual) {
   EXPECT_EQ(s1.dual_pivots, 0);
 }
 
-TEST(LpDualEntry, RhsRepairEntersDualAndRecoversOptimality) {
-  TinyLp t = MakeTiny(WithWarm(true));
+TEST_P(LpDualTest, RhsRepairEntersDualAndRecoversOptimality) {
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_EQ(s1.warm_restart, DualWarmEnabled(true));
-  if (DualWarmEnabled(true)) {
+  EXPECT_TRUE(test::Certified(t.solver.Snapshot(), s1));
+  EXPECT_EQ(s1.warm_restart, Warm());
+  if (Warm()) {
     EXPECT_GT(s1.dual_pivots, 0);
+  } else {
+    EXPECT_EQ(s1.dual_pivots, 0);
   }
 }
 
-TEST(LpDualEntry, LostDualFeasibilityFallsBackToPrimal) {
+TEST_P(LpDualTest, LostDualFeasibilityFallsBackToPrimal) {
   // An objective mutation that makes a nonbasic column attractive breaks
   // dual feasibility; the pre-entry sweep must detect it and hand the
   // repair to primal phase 1 — still ending optimal.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
   // The variable resting at 0 is nonbasic; make it strongly attractive.
@@ -143,11 +135,11 @@ TEST(LpDualEntry, LostDualFeasibilityFallsBackToPrimal) {
   EXPECT_NEAR(s1.objective, ref.objective, 1e-6 * (1 + std::abs(ref.objective)));
 }
 
-TEST(LpDualEntry, InfeasibleRepairIsReportedByThePrimalAuthority) {
+TEST_P(LpDualTest, InfeasibleRepairIsReportedByThePrimalAuthority) {
   // rhs beyond the variables' combined bounds: the dual loop runs out of
   // admissible entering candidates and the primal phase-1 fallback owns the
   // infeasibility verdict.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 9.0);  // max attainable is 8
   Solution s1 = t.solver.Solve();
@@ -156,46 +148,44 @@ TEST(LpDualEntry, InfeasibleRepairIsReportedByThePrimalAuthority) {
 
 // --- ratio-test ties and degeneracy -----------------------------------------
 
-TEST(LpDualRatio, SymmetricTieIsADegenerateDualStep) {
+TEST_P(LpDualTest, SymmetricTieIsADegenerateDualStep) {
   // At the optimum of the symmetric tiny LP the nonbasic twin's reduced
   // cost is exactly 0: the dual ratio test's best step is t = 0, a
   // zero-length (degenerate) pivot. The loop must pivot through it and
   // still certify the right optimum.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);  // the basic twin alone caps out at 4
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_EQ(s1.warm_restart, DualWarmEnabled(true));
+  EXPECT_TRUE(test::Certified(t.solver.Snapshot(), s1));
+  EXPECT_EQ(s1.warm_restart, Warm());
 }
 
-TEST(LpDualRatio, ScaledTieStaysOptimalUnderBothPricingModes) {
+TEST_P(LpDualTest, ScaledTieStaysOptimal) {
   // Costs proportional to the constraint coefficients (1/1 vs 2/2) tie the
   // dual ratios d/|alpha| at different |alpha| magnitudes — the Harris
   // second pass must pick a pivot from the tied set without losing
-  // optimality, whichever pricing mode maintained the duals.
-  for (PricingMode pricing : {PricingMode::kPartial, PricingMode::kDantzig}) {
-    SolveOptions so = WithWarm(true);
-    so.pricing.mode = pricing;
-    Solver solver(so);
-    int x0 = solver.AddColumn(0, 3, 1.0, {});
-    int x1 = solver.AddColumn(0, 3, 2.0, {});
-    int row = solver.AddRow(RowType::kGe, 2.0, {{x0, 1.0}, {x1, 2.0}});
-    ASSERT_TRUE(solver.Solve().ok());
-    solver.SetRhs(row, 7.0);
-    Solution s1 = solver.Solve();
-    ASSERT_TRUE(s1.ok());
-    // x0 = 3 and 2 x1 = 4 (or any tied mix) all cost rhs: obj = 7.
-    EXPECT_NEAR(s1.objective, 7.0, 1e-6);
-  }
+  // optimality.
+  Solver solver(WithWarm(Warm()));
+  int x0 = solver.AddColumn(0, 3, 1.0, {});
+  int x1 = solver.AddColumn(0, 3, 2.0, {});
+  int row = solver.AddRow(RowType::kGe, 2.0, {{x0, 1.0}, {x1, 2.0}});
+  ASSERT_TRUE(solver.Solve().ok());
+  solver.SetRhs(row, 7.0);
+  Solution s1 = solver.Solve();
+  ASSERT_TRUE(s1.ok());
+  // x0 = 3 and 2 x1 = 4 (or any tied mix) all cost rhs: obj = 7.
+  EXPECT_NEAR(s1.objective, 7.0, 1e-6);
+  EXPECT_TRUE(test::Certified(solver.Snapshot(), s1));
 }
 
-TEST(LpDualRatio, BoundFlipTelemetryAccumulates) {
+TEST_P(LpDualTest, BoundFlipTelemetryAccumulates) {
   // A boxed column whose dual ratio admits a long step: the flip counter
-  // must surface through Solution (exact counts are representation-
-  // dependent; the accounting just may not go missing or negative).
-  TinyLp t = MakeTiny(WithWarm(true));
+  // must surface through Solution (exact counts depend on the pivot
+  // sequence; the accounting just may not go missing or negative).
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 7.0);
   Solution s1 = t.solver.Solve();
@@ -206,8 +196,8 @@ TEST(LpDualRatio, BoundFlipTelemetryAccumulates) {
 
 // --- lp.dual_infeasible failpoint -------------------------------------------
 
-TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
-  TinyLp t = MakeTiny(WithWarm(true));
+TEST_P(LpDualTest, ForcedDualLossFallsBackAndRecovers) {
+  TinyLp t = MakeTiny(WithWarm(Warm()));
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);
   util::Failpoint::Activate("lp.dual_infeasible");
@@ -222,7 +212,7 @@ TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
   EXPECT_EQ(faulted.dual_pivots, 0);
   // The site sits inside the warm-entry gate: hit exactly when the dual
   // restart would have engaged.
-  EXPECT_EQ(hits > 0, DualWarmEnabled(true));
+  EXPECT_EQ(hits > 0, Warm());
 
   // With the failpoint cleared the next repair enters dual again. Relaxing
   // the rhs back to 2 drives the basic variable (carrying 1 of the 5) below
@@ -232,99 +222,99 @@ TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
   Solution clean = t.solver.Solve();
   ASSERT_TRUE(clean.ok());
   EXPECT_NEAR(clean.objective, 2.0, 1e-6);
-  EXPECT_EQ(clean.warm_restart, DualWarmEnabled(true));
+  EXPECT_EQ(clean.warm_restart, Warm());
 }
 
 // --- randomized perturbation parity -----------------------------------------
 
 // Routing-shaped LPs under randomized rhs perturbations and dead-path
-// fix/unfix cycles: after every repair the dual-restarted solver must land
-// on the same objective as a from-scratch cold solve of the accumulated
-// state — across both basis representations and both pricing modes.
-class LpDualPerturbParityTest : public ::testing::TestWithParam<int> {};
+// fix/unfix cycles: after every repair the warm solver's answer must pass
+// the KKT certificate and land on the same objective as a from-scratch cold
+// solve of the accumulated state — with the dual restart on and off.
+class LpDualPerturbParityTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
-TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
-  const uint64_t seed = static_cast<uint64_t>(91000 + GetParam());
-  for (BasisMode basis : {BasisMode::kSparseLU, BasisMode::kDenseInverse}) {
-    for (PricingMode pricing :
-         {PricingMode::kPartial, PricingMode::kDantzig}) {
-      Rng rng(seed);
-      auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
-      SolveOptions warm_so = WithWarm(true);
-      warm_so.basis.mode = basis;
-      warm_so.pricing.mode = pricing;
-      bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
-      Solution s0 = warm.solver.Solve();
-      ASSERT_TRUE(s0.ok());
-      EXPECT_FALSE(s0.warm_restart);
+TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
+  const uint64_t seed = static_cast<uint64_t>(91000 + std::get<0>(GetParam()));
+  const bool warm_restart = std::get<1>(GetParam());
+  Rng rng(seed);
+  auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
+  const SolveOptions warm_so = WithWarm(warm_restart);
+  bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
+  Solution s0 = warm.solver.Solve();
+  ASSERT_TRUE(s0.ok());
+  EXPECT_FALSE(s0.warm_restart);
 
-      // Cumulative mutation state, replayed into each cold reference.
-      // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
-      std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
-      std::vector<char> fixed(spec.base.size(), 0);
-      std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
-      long dual_pivots_total = 0;
+  // Cumulative mutation state, replayed into each cold reference.
+  // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
+  std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
+  std::vector<char> fixed(spec.base.size(), 0);
+  std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
+  long dual_pivots_total = 0;
 
-      for (int step = 0; step < 12; ++step) {
-        if (rng.NextIndex(2) == 0) {
-          // Capacity-style repair: move a link row's rhs.
-          size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
-          link_rhs[l] = rng.Uniform(-1.5, 1.5);
-          warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
-        } else {
-          // Dead-path repair: fix a path column to 0 (at most two of a
-          // group's three paths, so the unit-sum row stays satisfiable) or
-          // revive a previously fixed one.
-          size_t k = rng.NextIndex(spec.base.size());
-          size_t g = static_cast<size_t>(spec.base[k].group);
-          int var = 1 + static_cast<int>(k);
-          if (fixed[k] == 0 && fixed_in_group[g] < 2) {
-            warm.solver.FixVariable(var, 0.0);
-            fixed[k] = 1;
-            ++fixed_in_group[g];
-          } else if (fixed[k] != 0) {
-            warm.solver.SetBounds(var, 0.0, 1.0);
-            fixed[k] = 0;
-            --fixed_in_group[g];
-          }
-        }
-
-        Solution sw = warm.solver.Solve();
-        ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
-        dual_pivots_total += sw.dual_pivots;
-        if (sw.dual_pivots > 0) {
-          EXPECT_TRUE(sw.warm_restart);
-        }
-
-        bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
-        for (size_t l = 0; l < link_rhs.size(); ++l) {
-          fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
-        }
-        for (size_t k = 0; k < fixed.size(); ++k) {
-          if (fixed[k] != 0) {
-            fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
-          }
-        }
-        Solution sc = fresh.solver.Solve();
-        ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
-        EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
-        EXPECT_NEAR(sw.objective, sc.objective,
-                    1e-6 * (1 + std::abs(sc.objective)))
-            << "step " << step;
-      }
-      if (DualWarmEnabled(true)) {
-        // The perturbation mix reliably leaves primal-infeasible warm bases;
-        // at least one repair must have gone through the dual loop.
-        EXPECT_GT(dual_pivots_total, 0);
-      } else {
-        EXPECT_EQ(dual_pivots_total, 0);
+  for (int step = 0; step < 12; ++step) {
+    if (rng.NextIndex(2) == 0) {
+      // Capacity-style repair: move a link row's rhs.
+      size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
+      link_rhs[l] = rng.Uniform(-1.5, 1.5);
+      warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
+    } else {
+      // Dead-path repair: fix a path column to 0 (at most two of a group's
+      // three paths, so the unit-sum row stays satisfiable) or revive a
+      // previously fixed one.
+      size_t k = rng.NextIndex(spec.base.size());
+      size_t g = static_cast<size_t>(spec.base[k].group);
+      int var = 1 + static_cast<int>(k);
+      if (fixed[k] == 0 && fixed_in_group[g] < 2) {
+        warm.solver.FixVariable(var, 0.0);
+        fixed[k] = 1;
+        ++fixed_in_group[g];
+      } else if (fixed[k] != 0) {
+        warm.solver.SetBounds(var, 0.0, 1.0);
+        fixed[k] = 0;
+        --fixed_in_group[g];
       }
     }
+
+    Solution sw = warm.solver.Solve();
+    ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
+    EXPECT_TRUE(test::Certified(warm.solver.Snapshot(), sw))
+        << "step " << step;
+    dual_pivots_total += sw.dual_pivots;
+    if (sw.dual_pivots > 0) {
+      EXPECT_TRUE(sw.warm_restart);
+    }
+
+    bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
+    for (size_t l = 0; l < link_rhs.size(); ++l) {
+      fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
+    }
+    for (size_t k = 0; k < fixed.size(); ++k) {
+      if (fixed[k] != 0) {
+        fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
+      }
+    }
+    Solution sc = fresh.solver.Solve();
+    ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
+    EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
+    EXPECT_NEAR(sw.objective, sc.objective,
+                1e-6 * (1 + std::abs(sc.objective)))
+        << "step " << step;
+  }
+  if (warm_restart) {
+    // The perturbation mix reliably leaves primal-infeasible warm bases;
+    // at least one repair must have gone through the dual loop.
+    EXPECT_GT(dual_pivots_total, 0);
+  } else {
+    EXPECT_EQ(dual_pivots_total, 0);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LpDualPerturbParityTest,
-                         ::testing::Range(1, 5));
+INSTANTIATE_TEST_SUITE_P(SeedsWarmAndCold, LpDualPerturbParityTest,
+                         ::testing::Combine(::testing::Range(1, 5),
+                                            ::testing::Bool()));
+
+INSTANTIATE_TEST_SUITE_P(WarmRestart, LpDualTest, ::testing::Bool(), WarmName);
 
 }  // namespace
 }  // namespace ldr::lp

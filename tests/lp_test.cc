@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "lp/lp.h"
+#include "tests/lp_certify.h"
 #include "util/random.h"
 
 // --- operator-new hook ------------------------------------------------------
@@ -299,17 +301,13 @@ TEST_P(LpRandom2DTest, MatchesVertexEnumeration) {
   Solution s = Solve(p);
   ASSERT_TRUE(s.ok()) << ToString(s.status);
   EXPECT_NEAR(s.objective, ref.Optimum(), 1e-5);
-  // Returned point satisfies all rows.
-  for (const auto& c : ref.cs) {
-    EXPECT_LE(c.a * s.values[0] + c.b * s.values[1], c.rhs + 1e-6);
-  }
+  EXPECT_TRUE(test::Certified(p, s));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpRandom2DTest, ::testing::Range(1, 33));
 
 // Property test: random feasible LPs with a known feasible point; solver
-// objective must be <= that point's objective and the solution must satisfy
-// every row.
+// objective must be <= that point's objective and the answer must certify.
 class LpRandomFeasibleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpRandomFeasibleTest, OptimumBeatsKnownPointAndIsFeasible) {
@@ -340,18 +338,10 @@ TEST_P(LpRandomFeasibleTest, OptimumBeatsKnownPointAndIsFeasible) {
   }
   Solution s = Solve(p);
   ASSERT_TRUE(s.ok()) << ToString(s.status);
+  EXPECT_TRUE(test::Certified(p, s));
   double known_obj = 0;
   for (size_t j = 0; j < n; ++j) known_obj += costs[j] * known[j];
   EXPECT_LE(s.objective, known_obj + 1e-6);
-  for (size_t i = 0; i < m; ++i) {
-    double lhs = 0;
-    for (size_t j = 0; j < n; ++j) lhs += a[i][j] * s.values[j];
-    EXPECT_LE(lhs, rhs[i] + 1e-6);
-  }
-  for (size_t j = 0; j < n; ++j) {
-    EXPECT_GE(s.values[j], -1e-9);
-    EXPECT_LE(s.values[j], 5 + 1e-9);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpRandomFeasibleTest, ::testing::Range(1, 33));
@@ -385,6 +375,7 @@ TEST_P(LpRandomEqualityTest, SplitVariablesSumToOne) {
   }
   Solution s = Solve(p);
   ASSERT_TRUE(s.ok()) << ToString(s.status);
+  EXPECT_TRUE(test::Certified(p, s));
   for (size_t a = 0; a < groups; ++a) {
     double sum = 0;
     for (int v : gv[a]) sum += s.values[static_cast<size_t>(v)];
@@ -524,6 +515,7 @@ TEST_P(LpWarmStartTest, IncrementalAddColumnMatchesColdSolve) {
   }
   Solution first = solver.Solve();
   ASSERT_TRUE(first.ok()) << ToString(first.status);
+  EXPECT_TRUE(test::Certified(solver.Snapshot(), first));
   EXPECT_NEAR(first.objective, ColdObjective(p, /*with_stage_b=*/false), 1e-6);
 
   // Stage B: append path columns into the live rows and re-solve warm.
@@ -539,6 +531,7 @@ TEST_P(LpWarmStartTest, IncrementalAddColumnMatchesColdSolve) {
   }
   Solution second = solver.Solve();
   ASSERT_TRUE(second.ok()) << ToString(second.status);
+  EXPECT_TRUE(test::Certified(solver.Snapshot(), second));
   EXPECT_NEAR(second.objective, ColdObjective(p, /*with_stage_b=*/true), 1e-6);
   // Growth can only help: more columns never worsen a minimization.
   EXPECT_LE(second.objective, first.objective + 1e-6);
@@ -608,6 +601,7 @@ TEST_P(LpWarmRhsTest, RhsAndCoefficientDeltasMatchColdSolve) {
     solver.AddToRow(rows[static_cast<size_t>(i2)], j2, delta);
     Solution s = solver.Solve();
     ASSERT_TRUE(s.ok()) << ToString(s.status);
+    EXPECT_TRUE(test::Certified(solver.Snapshot(), s)) << "step " << step;
     EXPECT_NEAR(s.objective, cold(), 1e-6) << "step " << step;
   }
 }
@@ -868,16 +862,18 @@ TEST(LpSolver, PathologicalScalesStayConsistentWithRefactorGuardDisabled) {
   }
 }
 
-// --- revised-simplex representation parity ---------------------------------
+// --- randomized mutation sequences ------------------------------------------
 
 // Randomized interleavings of every structural-delta entry point —
 // AddColumn / AddRow / AddToRow / SetRhs — with warm re-solves. After each
-// Solve the incremental solver (sparse columns + B^-1 only) must agree with
-// a one-shot lp::Solve of the accumulated problem on the objective, and its
-// returned point must be basis-feasible: every bound and every row satisfied
-// within tolerance. Instances keep x = 0 feasible throughout (kLe rows keep
-// rhs >= 0, kGe rows keep rhs <= 0, lower bounds at 0) so the parity target
-// is always optimal, never infeasible, and boxes keep it bounded.
+// Solve the incremental solver's answer must pass the KKT certificate
+// against the test's own shadow copy of the accumulated problem (built here
+// from the mutation log, independently of the solver), the solver's
+// Snapshot() must describe that same problem, and a one-shot lp::Solve of
+// it must agree on the objective. Instances keep x = 0 feasible throughout
+// (kLe rows keep rhs >= 0, kGe rows keep rhs <= 0, lower bounds at 0) so
+// the target is always optimal, never infeasible, and boxes keep it
+// bounded.
 class LpMutationSequenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpMutationSequenceTest, WarmSolverMatchesOneShotAcrossMutations) {
@@ -927,28 +923,14 @@ TEST_P(LpMutationSequenceTest, WarmSolverMatchesOneShotAcrossMutations) {
     Problem p;
     for (size_t j = 0; j < hi.size(); ++j) p.AddVariable(0, hi[j], obj[j]);
     for (const ShadowRow& row : rows) p.AddRow(row.type, row.rhs, row.coeffs);
+    EXPECT_TRUE(test::Certified(p, warm)) << "step " << step;
+    EXPECT_TRUE(test::Certified(solver.Snapshot(), warm)) << "step " << step;
     Solution cold = Solve(p);
     ASSERT_TRUE(cold.ok()) << ToString(cold.status) << " step " << step;
+    EXPECT_TRUE(test::Certified(p, cold)) << "step " << step;
     EXPECT_NEAR(warm.objective, cold.objective,
                 1e-6 * (1 + std::abs(cold.objective)))
         << "step " << step;
-    // Basis feasibility of the warm point: bounds and rows.
-    for (size_t j = 0; j < hi.size(); ++j) {
-      EXPECT_GE(warm.values[j], -1e-6) << "step " << step << " var " << j;
-      EXPECT_LE(warm.values[j], hi[j] + 1e-6) << "step " << step << " var " << j;
-    }
-    for (size_t r = 0; r < rows.size(); ++r) {
-      double lhs = 0;
-      for (const auto& [v, c] : rows[r].coeffs) {
-        lhs += c * warm.values[static_cast<size_t>(v)];
-      }
-      double t = 1e-6 * (1 + std::abs(rows[r].rhs));
-      if (rows[r].type == RowType::kLe) {
-        EXPECT_LE(lhs, rows[r].rhs + t) << "step " << step << " row " << r;
-      } else {
-        EXPECT_GE(lhs, rows[r].rhs - t) << "step " << step << " row " << r;
-      }
-    }
   };
 
   for (int j = 0; j < 4; ++j) add_column();
@@ -997,8 +979,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpMutationSequenceTest, ::testing::Range(1, 21))
 // The simplex inner loop must not allocate: FTRAN result, ratio-test scratch
 // and the pricing candidate list are all reused member buffers. After one
 // warm-up solve per phase has grown every scratch to capacity, a re-solve
-// that runs real pivots may allocate only the returned Solution::values
-// buffer — a handful of allocations regardless of how many iterations run.
+// that runs real pivots may allocate only the returned Solution::values and
+// Solution::duals buffers — a handful of allocations regardless of how many
+// iterations run.
 TEST(LpSolver, WarmResolveInnerLoopIsAllocationFree) {
   RoutingShaped p = RoutingShaped::Random(90210, /*groups=*/12, /*links=*/10);
   Solver solver;
@@ -1047,11 +1030,147 @@ TEST(LpSolver, WarmResolveInnerLoopIsAllocationFree) {
   g_count_allocations.store(false);
   ASSERT_TRUE(s.ok());
   EXPECT_GT(s.iterations, 0);  // the loop actually ran
-  // Solution::values is the only per-solve buffer; everything the iterations
-  // touch is reused. A small slack covers one-off scratch growth, but the
-  // count must not scale with s.iterations.
+  // Solution::values and Solution::duals are the only per-solve buffers;
+  // everything the iterations touch is reused. A small slack covers one-off
+  // scratch growth, but the count must not scale with s.iterations.
   EXPECT_LE(g_allocation_count.load(), 8)
       << "inner loop allocated; iterations=" << s.iterations;
+}
+
+// --- the certificate itself -------------------------------------------------
+
+// min -2x - y  s.t.  r0: x + y <= 4,  r1: x + 2y >= 1,  x in [0, 3],
+// y in [0, 10]. Optimum x = 3 (at its upper bound, reduced cost -1), y = 1
+// (basic), r0 binding with dual -1, r1 slack (5 >= 1) with dual 0.
+Problem CertificateLp() {
+  Problem p;
+  int x = p.AddVariable(0, 3, -2);
+  int y = p.AddVariable(0, 10, -1);
+  p.AddRow(RowType::kLe, 4, {{x, 1}, {y, 1}});
+  p.AddRow(RowType::kGe, 1, {{x, 1}, {y, 2}});
+  return p;
+}
+
+TEST(LpCertificate, SolverAnswerCarriesDualsAndCertifies) {
+  Problem p = CertificateLp();
+  Solution s = Solve(p);
+  ASSERT_TRUE(s.ok());
+  ASSERT_EQ(s.duals.size(), 2u);
+  EXPECT_NEAR(s.objective, -7, 1e-9);
+  EXPECT_NEAR(s.duals[0], -1, 1e-9);
+  EXPECT_NEAR(s.duals[1], 0, 1e-9);
+  Certificate c = CheckOptimality(p, s);
+  EXPECT_TRUE(c.ok) << c.failure;
+  EXPECT_TRUE(c.failure.empty());
+  EXPECT_LE(c.primal_residual, 1e-9);
+  EXPECT_LE(c.dual_residual, 1e-9);
+  EXPECT_LE(c.complementarity, 1e-9);
+  EXPECT_LE(c.gap, 1e-9);
+}
+
+// Each way of breaking a certified answer must be rejected, by the check
+// that owns it.
+TEST(LpCertificate, RejectsValuePastABound) {
+  Problem p = CertificateLp();
+  Solution s = Solve(p);
+  ASSERT_TRUE(CheckOptimality(p, s).ok);
+  s.values[0] = -0.5;  // x below its lower bound; both rows still hold
+  Certificate c = CheckOptimality(p, s);
+  EXPECT_FALSE(c.ok);
+  // The only primal violation is the bound: 0.5 below lo = 0.
+  EXPECT_NEAR(c.primal_residual, 0.5, 1e-12);
+}
+
+TEST(LpCertificate, RejectsValuePastARow) {
+  Problem p = CertificateLp();
+  Solution s = Solve(p);
+  ASSERT_TRUE(CheckOptimality(p, s).ok);
+  s.values[1] = 1.5;  // y inside its box, but x + y = 4.5 > 4
+  Certificate c = CheckOptimality(p, s);
+  EXPECT_FALSE(c.ok);
+  EXPECT_GT(c.primal_residual, 1e-6);
+  EXPECT_NE(c.failure.find("row 0 is violated"), std::string::npos)
+      << c.failure;
+}
+
+TEST(LpCertificate, RejectsAFlippedDual) {
+  Problem p = CertificateLp();
+  Solution s = Solve(p);
+  ASSERT_TRUE(CheckOptimality(p, s).ok);
+  s.duals[0] = -s.duals[0];  // a kLe row with a positive dual
+  Certificate c = CheckOptimality(p, s);
+  EXPECT_FALSE(c.ok);
+  EXPECT_GT(c.dual_residual, 1e-6);
+  EXPECT_NE(c.failure.find("row 0 has a dual of the wrong sign"),
+            std::string::npos)
+      << c.failure;
+}
+
+TEST(LpCertificate, RejectsBrokenComplementarySlackness) {
+  Problem p = CertificateLp();
+  Solution s = Solve(p);
+  ASSERT_TRUE(CheckOptimality(p, s).ok);
+  s.duals[1] = 0.5;  // right sign for a kGe row, but the row has slack
+  Certificate c = CheckOptimality(p, s);
+  EXPECT_FALSE(c.ok);
+  EXPECT_GT(c.complementarity, 1e-6);
+  EXPECT_NE(c.failure.find("row 1 has slack and a nonzero dual"),
+            std::string::npos)
+      << c.failure;
+}
+
+TEST(LpCertificate, RejectsAVariableOffTheBoundItsReducedCostPins) {
+  // x has reduced cost -1 and must sit at its upper bound; moving it inside
+  // its box (with y compensating, so every row still holds) breaks
+  // complementary slackness on the variable side.
+  Problem p = CertificateLp();
+  Solution s = Solve(p);
+  ASSERT_TRUE(CheckOptimality(p, s).ok);
+  s.values[0] = 2;
+  s.values[1] = 2;
+  Certificate c = CheckOptimality(p, s);
+  EXPECT_FALSE(c.ok);
+  EXPECT_LE(c.primal_residual, 1e-9);
+  EXPECT_GT(c.dual_residual, 1e-6);
+}
+
+TEST(LpCertificate, RejectsMissingDualsAndNonOptimalStatus) {
+  Problem p = CertificateLp();
+  Solution s = Solve(p);
+  Solution no_duals = s;
+  no_duals.duals.clear();
+  EXPECT_FALSE(CheckOptimality(p, no_duals).ok);
+  Solution limit = s;
+  limit.status = Status::kIterLimit;
+  EXPECT_FALSE(CheckOptimality(p, limit).ok);
+}
+
+// On larger random LPs, flipping the sign of the largest row dual (the
+// binding row that matters most) is always caught.
+TEST(LpCertificate, FlippedLargestDualIsCaughtOnRandomLps) {
+  for (int seed = 1; seed <= 16; ++seed) {
+    Rng rng(static_cast<uint64_t>(17000 + seed));
+    Problem p;
+    const int n = 12, m = 8;
+    for (int j = 0; j < n; ++j) p.AddVariable(0, 4, rng.Uniform(-3, 1));
+    for (int i = 0; i < m; ++i) {
+      std::vector<std::pair<int, double>> row;
+      for (int j = 0; j < n; ++j) {
+        if (rng.NextIndex(2) == 0) row.emplace_back(j, rng.Uniform(0.2, 2));
+      }
+      p.AddRow(RowType::kLe, rng.Uniform(2, 6), row);
+    }
+    Solution s = Solve(p);
+    ASSERT_TRUE(s.ok());
+    ASSERT_TRUE(test::Certified(p, s)) << "seed " << seed;
+    size_t big = 0;
+    for (size_t i = 1; i < s.duals.size(); ++i) {
+      if (std::abs(s.duals[i]) > std::abs(s.duals[big])) big = i;
+    }
+    if (std::abs(s.duals[big]) < 1e-3) continue;  // no binding row
+    s.duals[big] = -s.duals[big];
+    EXPECT_FALSE(CheckOptimality(p, s).ok) << "seed " << seed;
+  }
 }
 
 TEST(Lp, ModerateSizePerformance) {

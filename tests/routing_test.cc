@@ -90,6 +90,35 @@ TEST(LatencyOptimal, SplitsWhenShortestIsFull) {
   EXPECT_NEAR(load8, 0, 1e-6);
 }
 
+// Regression: when the round budget ran out right after a growth step, with
+// no feasible placement kept, the install loop read fractions for paths the
+// last LP never saw (past the end of the result's per-aggregate vector) and
+// lp_rounds reported one round too many.
+TEST(LatencyOptimal, RoundBudgetExhaustedAfterGrowthInstallsSolvedPaths) {
+  Graph g = TriDiamond();
+  KspCache cache(&g);
+  std::vector<Aggregate> aggs{MakeAgg(0, 3, 25)};
+  IterativeOptions opts;
+  opts.max_rounds = 1;
+  LpReuseContext reuse;
+  RoutingOutcome out = IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+  EXPECT_EQ(out.lp_rounds, 1);
+  // The one LP solved saw only the 2 ms path: 25 Gbps on 10 Gbps.
+  ASSERT_EQ(out.allocations[0].size(), 1u);
+  EXPECT_DOUBLE_EQ(out.allocations[0][0].fraction, 1.0);
+  EXPECT_DOUBLE_EQ(out.store->DelayMs(out.allocations[0][0].path), 2.0);
+  EXPECT_FALSE(out.feasible);
+  EXPECT_NEAR(out.max_level, 2.5, 1e-9);
+  // The grown path set is still kept for warm re-entry, which then solves
+  // over it with a normal budget.
+  ASSERT_EQ(reuse.paths.size(), 1u);
+  EXPECT_EQ(reuse.paths[0].size(), 2u);
+  opts.max_rounds = 40;
+  RoutingOutcome again = IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+  EXPECT_TRUE(again.reused_warm);
+  EXPECT_TRUE(again.feasible);  // three 10 Gbps routes carry 25 Gbps
+}
+
 TEST(LatencyOptimal, HeadroomMovesTraffic) {
   Graph g = TriDiamond();
   KspCache cache(&g);

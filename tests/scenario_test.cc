@@ -5,10 +5,13 @@
 //  - LdrController as a persistent epoch loop (warm re-entry, delta hooks);
 //  - ScenarioEngine determinism (thread-count-independent, bitwise),
 //    warm-vs-cold epoch parity, and a failure/recovery integration run.
+//
+// Every test that drives the LDR LP across a topology event runs twice, as
+// a TEST_P over routing.lp.warm_restart: on, events repair the live LP in
+// place (dual warm restart); off, they drop it and rebuild cold.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 
 #include "graph/ksp.h"
 #include "graph/shortest_path.h"
@@ -61,14 +64,21 @@ Scenario FailureScenario(const Graph& g, int epochs = 10, int down_at = 3,
   return s;
 }
 
-// Mirrors lp::ResolveWarmRestart's env override for the routing-layer
-// default (warm_restart = true): the `*_cold_warm` ctest re-registrations
-// run this binary under LDR_LP_WARM=cold, where topology events drop the
-// warm LP instead of repairing it in place.
-bool WarmRestartOn() {
-  const char* e = std::getenv("LDR_LP_WARM");
-  return e == nullptr || std::strcmp(e, "cold") != 0;
-}
+// Parameterized over routing.lp.warm_restart (see the file comment).
+class ScenarioEngineTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool Warm() const { return GetParam(); }
+  LdrControllerOptions ControllerOptions() const {
+    LdrControllerOptions o;
+    o.routing.lp.warm_restart = Warm();
+    return o;
+  }
+  ScenarioEngineOptions Options() const {
+    ScenarioEngineOptions o;
+    o.controller = ControllerOptions();
+    return o;
+  }
+};
 
 bool AnyAllocationCrosses(const RoutingOutcome& outcome, LinkId link) {
   for (const auto& allocation : outcome.allocations) {
@@ -171,11 +181,11 @@ TEST(KspInvalidation, PopTimeGuardCoversUninvalidatedMasks) {
   EXPECT_EQ(gen.GetId(3), kInvalidPathId);
 }
 
-TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
+TEST_P(ScenarioEngineTest, StalePathsNeverReachTheLpAfterLinkDown) {
   Topology t = FailoverNet();
   Graph& g = t.graph;
   KspCache cache(&g);
-  LdrController controller(&g, &cache);
+  LdrController controller(&g, &cache, ControllerOptions());
   std::vector<Aggregate> aggs{MakeAgg(0, 1, 3.0), MakeAgg(1, 0, 2.0)};
   std::vector<std::vector<double>> segment{
       std::vector<double>(600, 3.0), std::vector<double>(600, 2.0)};
@@ -192,16 +202,16 @@ TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
 
   // Fail A->B and B->A. Under warm restarts (the default) the LP is
   // repaired in place and the epoch re-enters warm via the dual simplex;
-  // under LDR_LP_WARM=cold it rebuilds cold. Either way it must never hand
-  // a path crossing the failed links to the LP.
+  // without them it rebuilds cold. Either way it must never hand a path
+  // crossing the failed links to the LP.
   for (LinkId l : {LinkId{0}, LinkId{1}}) {
     g.SetLinkDown(l, true);
     controller.OnLinkDown(l);
   }
   EXPECT_GT(controller.ksp_evictions(), 0u);
   LdrControllerResult r3 = controller.RunEpoch(aggs, segment);
-  EXPECT_EQ(r3.warm_epoch, WarmRestartOn());
-  EXPECT_EQ(r3.topology_repaired, WarmRestartOn());
+  EXPECT_EQ(r3.warm_epoch, Warm());
+  EXPECT_EQ(r3.topology_repaired, Warm());
   EXPECT_TRUE(r3.multiplex_ok);
   EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 0));
   EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 1));
@@ -209,7 +219,7 @@ TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
   // rebuild (the parity contract); under the cold baseline the post-event
   // epoch re-enters warm as before. One epoch later both modes are warm.
   LdrControllerResult r4 = controller.RunEpoch(aggs, segment);
-  EXPECT_EQ(r4.warm_epoch, !WarmRestartOn());
+  EXPECT_EQ(r4.warm_epoch, !Warm());
   EXPECT_FALSE(r4.topology_repaired);
   LdrControllerResult r5 = controller.RunEpoch(aggs, segment);
   EXPECT_TRUE(r5.warm_epoch);
@@ -244,24 +254,26 @@ void ExpectReportsIdentical(const ScenarioReport& x, const ScenarioReport& y) {
   EXPECT_EQ(x.ksp_evictions, y.ksp_evictions);
 }
 
-TEST(ScenarioEngine, ReportsAreThreadCountInvariant) {
+TEST_P(ScenarioEngineTest, ReportsAreThreadCountInvariant) {
   // The engine is serial by design; LDR_THREADS must not leak into it.
   Topology t = FailoverNet();
   setenv("LDR_THREADS", "1", 1);
-  ScenarioReport r1 = ScenarioEngine(t, FailureScenario(t.graph)).Run();
+  ScenarioReport r1 =
+      ScenarioEngine(t, FailureScenario(t.graph), Options()).Run();
   setenv("LDR_THREADS", "4", 1);
-  ScenarioReport r4 = ScenarioEngine(t, FailureScenario(t.graph)).Run();
+  ScenarioReport r4 =
+      ScenarioEngine(t, FailureScenario(t.graph), Options()).Run();
   unsetenv("LDR_THREADS");
   ExpectReportsIdentical(r1, r4);
 }
 
-TEST(ScenarioEngine, WarmEpochsMatchColdEpochsExactly) {
+TEST_P(ScenarioEngineTest, WarmEpochsMatchColdEpochsExactly) {
   // incremental=false rebuilds the LP from scratch every epoch; the warm
   // engine must install bitwise-identical placements anyway — warmth may
   // only change solve time.
   Topology t = FailoverNet();
-  ScenarioEngineOptions warm;
-  ScenarioEngineOptions cold;
+  ScenarioEngineOptions warm = Options();
+  ScenarioEngineOptions cold = Options();
   cold.incremental = false;
   ScenarioReport rw = ScenarioEngine(t, FailureScenario(t.graph), warm).Run();
   ScenarioReport rc = ScenarioEngine(t, FailureScenario(t.graph), cold).Run();
@@ -284,16 +296,17 @@ TEST(ScenarioEngine, WarmEpochsMatchColdEpochsExactly) {
   }
 }
 
-TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
-  // fig21-style A/B: the default engine (dual warm restarts across the
-  // LinkDown/LinkUp events) against a baseline configured with
-  // warm_restart=false, which drops and rebuilds the LP cold on every
-  // topology delta. The repaired epoch may legitimately place differently
-  // (its path sets are history-dependent); the canonicalization epoch
-  // after it rebuilds cold — so outside the 2-epoch window [event,
-  // event+1] of each event the placement hashes must match bitwise.
+TEST_P(ScenarioEngineTest, DualRepairedEpochsReconvergeToColdHashes) {
+  // fig21-style comparison: the engine under test (dual warm restarts
+  // across the LinkDown/LinkUp events when the parameter is on) against a
+  // baseline configured with warm_restart=false, which drops and rebuilds
+  // the LP cold on every topology delta. The repaired epoch may
+  // legitimately place differently (its path sets are history-dependent);
+  // the canonicalization epoch after it rebuilds cold — so outside the
+  // 2-epoch window [event, event+1] of each event the placement hashes
+  // must match bitwise.
   Topology t = FailoverNet();
-  ScenarioEngineOptions dual;
+  ScenarioEngineOptions dual = Options();
   ScenarioEngineOptions baseline;
   baseline.controller.routing.lp.warm_restart = false;
   ScenarioReport rd = ScenarioEngine(t, FailureScenario(t.graph), dual).Run();
@@ -308,28 +321,28 @@ TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
     EXPECT_EQ(rd.epochs[e].allocation_hash, rb.epochs[e].allocation_hash)
         << "epoch " << e;
   }
-  // The A/B actually ran what it claims: the default engine repaired both
-  // events in place (unless LDR_LP_WARM=cold overrides it), the baseline
-  // never did.
-  EXPECT_EQ(rd.dual_repair_epochs, WarmRestartOn() ? 2u : 0u);
+  // The comparison ran what it claims: the engine under test repaired both
+  // events in place exactly when warm restarts are on, the baseline never
+  // did.
+  EXPECT_EQ(rd.dual_repair_epochs, Warm() ? 2u : 0u);
   EXPECT_EQ(rb.dual_repair_epochs, 0u);
   for (const ScenarioEpochReport& er : rd.epochs) {
     EXPECT_TRUE(er.multiplex_ok) << "epoch " << er.epoch;
   }
 }
 
-TEST(ScenarioEngine, FailureRecoveryTimeline) {
+TEST_P(ScenarioEngineTest, FailureRecoveryTimeline) {
   Topology t = FailoverNet();
   Scenario s = FailureScenario(t.graph, /*epochs=*/10, /*down_at=*/3, /*up_at=*/6);
-  ScenarioEngine engine(t, s);
+  ScenarioEngine engine(t, s, Options());
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
 
   // Epoch 0 cold. Under warm restarts the event epochs (3, 6) are
   // dual-repaired and the canonicalization epochs after them (4, 7) rebuild
-  // cold; under LDR_LP_WARM=cold the event epochs are the only other cold
+  // cold; without warm restarts the event epochs are the only other cold
   // ones. Everything else re-enters warm.
-  const bool wr = WarmRestartOn();
+  const bool wr = Warm();
   for (const ScenarioEpochReport& er : report.epochs) {
     bool expect_repair = wr && (er.epoch == 3 || er.epoch == 6);
     bool expect_warm = er.epoch != 0 && er.epoch != 3 && er.epoch != 6 &&
@@ -437,7 +450,7 @@ TEST(KspInvalidation, GroupedInvalidationCountsEachGeneratorOnce) {
   }
 }
 
-TEST(ScenarioEngine, SrlgOutageMasksAllMembersAtomically) {
+TEST_P(ScenarioEngineTest, SrlgOutageMasksAllMembersAtomically) {
   // An SRLG over the A-C and C-B cables takes the whole detour in one
   // event: during the outage only the direct A-B cable can carry A<->B
   // traffic, and the event must land as ONE batched delta (one dual-repair
@@ -451,10 +464,10 @@ TEST(ScenarioEngine, SrlgOutageMasksAllMembersAtomically) {
   int srlg = s.AddSrlg("detour-conduit", {2, 4});  // A-C and C-B cables
   s.AddSrlgOutage(srlg, 3, 6);
 
-  ScenarioEngine engine(t, s);
+  ScenarioEngine engine(t, s, Options());
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
-  const bool wr = WarmRestartOn();
+  const bool wr = Warm();
   for (const ScenarioEpochReport& er : report.epochs) {
     EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
     // One grouped delta: exactly the event epochs are dual-repaired.
@@ -475,7 +488,7 @@ TEST(ScenarioEngine, SrlgOutageMasksAllMembersAtomically) {
   EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
 }
 
-TEST(ScenarioEngine, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
+TEST_P(ScenarioEngineTest, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
   // Node C fails while one of its incident links (A->C) is already masked
   // by an earlier singleton event: the grouped apply must mask the LIVE
   // subset (partial redundancy — the overlap is reported, not grounds to
@@ -494,7 +507,7 @@ TEST(ScenarioEngine, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
   s.events.push_back(pre);
   s.AddNodeOutage(2, 3, 6);  // node C: links 2,3,4,5,6,7
 
-  ScenarioEngine engine(t, s);
+  ScenarioEngine engine(t, s, Options());
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
   // The node-down group is 6 links, of which A->C is already masked: one
@@ -515,7 +528,7 @@ TEST(ScenarioEngine, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
   EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
 }
 
-TEST(ScenarioEngine, MaintenanceDrainsOneEpochBeforeTheWindow) {
+TEST_P(ScenarioEngineTest, MaintenanceDrainsOneEpochBeforeTheWindow) {
   // A maintenance window on the direct A-B cable, nominally [4, 6): the
   // mask must land at the drain epoch 3 — the controller's scheduled head
   // start — and lift at 6. A second window whose restore lands past the
@@ -533,7 +546,7 @@ TEST(ScenarioEngine, MaintenanceDrainsOneEpochBeforeTheWindow) {
   mw.duration_epochs = 2;
   s.events.push_back(mw);
 
-  ScenarioEngine engine(t, s);
+  ScenarioEngine engine(t, s, Options());
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
   for (const ScenarioEpochReport& er : report.epochs) {
@@ -555,13 +568,13 @@ TEST(ScenarioEngine, MaintenanceDrainsOneEpochBeforeTheWindow) {
   Scenario open_ended = s;
   open_ended.events[0].epoch = 8;
   open_ended.events[0].duration_epochs = 5;  // restore at 13 > last epoch
-  ScenarioEngine engine2(t, open_ended);
+  ScenarioEngine engine2(t, open_ended, Options());
   ScenarioReport r2 = engine2.Run();
   EXPECT_TRUE(r2.epochs[7].event_epoch);
   EXPECT_EQ(engine2.graph().DownLinkCount(), 2u);  // both directions masked
 }
 
-TEST(ScenarioEngine, SrlgPartialFailpointKeepsTheLivePrefix) {
+TEST_P(ScenarioEngineTest, SrlgPartialFailpointKeepsTheLivePrefix) {
   // The scenario.srlg_partial failpoint models a correlated event arriving
   // truncated: only the first half (rounded up) of the live subset is
   // applied, the rest is counted dropped. Down group {2,3,4,5} -> 2 masked,
@@ -577,7 +590,7 @@ TEST(ScenarioEngine, SrlgPartialFailpointKeepsTheLivePrefix) {
   s.AddSrlgOutage(srlg, 3, 6);
 
   util::Failpoint::Activate("scenario.srlg_partial");
-  ScenarioEngine engine(t, s);
+  ScenarioEngine engine(t, s, Options());
   ScenarioReport report = engine.Run();
   util::Failpoint::Deactivate("scenario.srlg_partial");
 
@@ -592,12 +605,11 @@ TEST(ScenarioEngine, SrlgPartialFailpointKeepsTheLivePrefix) {
   }
 }
 
-TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
+TEST_P(ScenarioEngineTest, GroupedEventDualRepairReconvergesToColdArm) {
   // The DualRepairedEpochsReconvergeToColdHashes contract for a GROUPED
   // delta: an SRLG cut repaired in place via one dual warm restart must
   // place bitwise like the warm_restart=false baseline outside the 2-epoch
-  // [event, event+1] canonicalization windows. The *_cold_warm ctest
-  // re-registration runs this under LDR_LP_WARM=cold as well.
+  // [event, event+1] canonicalization windows.
   Topology t = FailoverNet();
   auto make_scenario = [&]() {
     Scenario s;
@@ -611,7 +623,7 @@ TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
     s.AddSrlgOutage(srlg, 3, 6);
     return s;
   };
-  ScenarioEngineOptions dual;
+  ScenarioEngineOptions dual = Options();
   ScenarioEngineOptions baseline;
   baseline.controller.routing.lp.warm_restart = false;
   ScenarioReport rd = ScenarioEngine(t, make_scenario(), dual).Run();
@@ -625,7 +637,7 @@ TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
     EXPECT_EQ(rd.epochs[e].allocation_hash, rb.epochs[e].allocation_hash)
         << "epoch " << e;
   }
-  EXPECT_EQ(rd.dual_repair_epochs, WarmRestartOn() ? 2u : 0u);
+  EXPECT_EQ(rd.dual_repair_epochs, Warm() ? 2u : 0u);
   EXPECT_EQ(rb.dual_repair_epochs, 0u);
   EXPECT_TRUE(PlacementParity(rd, rb));
 }
@@ -650,6 +662,12 @@ TEST(ScenarioEngine, SchemeDriversSurviveFailures) {
     EXPECT_GT(report.epochs[3].route_churn, 0.0) << id;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    WarmRestart, ScenarioEngineTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& param) {
+      return param.param ? "Warm" : "Cold";
+    });
 
 }  // namespace
 }  // namespace ldr

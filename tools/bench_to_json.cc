@@ -8,9 +8,9 @@
 //             slow corpus-wide sections (iterative_loop, thread_scaling,
 //             path_store, lp_pricing's corpus slice) skipped and emitted as
 //             zeros with "smoke": true at the top. All correctness markers —
-//             lp_pricing/lp_revised objective_parity, lp_lu basis_parity,
-//             scenario placement_parity, degradation recovery_parity — are
-//             still computed for real, so a perf refactor that breaks parity
+//             lp_revised objective_parity, kkt kkt_certified, scenario
+//             placement_parity, degradation recovery_parity — are still
+//             computed for real, so a perf refactor that breaks parity
 //             fails CI even in smoke mode.
 //
 // Sections:
@@ -26,37 +26,32 @@
 //                     corpus produced (each an owning deep-copied Path before
 //                     the arena), unique_paths how many distinct paths were
 //                     actually stored; hit rate = 1 - unique/refs
-//   lp_revised        revised-simplex win tracking (PR 5, rebaselined PR 7):
-//                     per-pivot cost and resident solver memory on the
-//                     lp_resolve_large warm round and the shape_partial cold
-//                     solve. The baseline is no longer a frozen constant: the
-//                     same experiments re-run under the kDenseInverse basis
-//                     knob in the same process, so dense_ms/dense_per_pivot
-//                     are measured on this container at emit time.
-//                     basis_bytes is the sparse L/U + update file the solver
-//                     actually keeps (explicit m×m B^-1 for the dense run);
-//                     dense_tableau_bytes is what the PR 4 working tableau
-//                     held for the same LP ((n+m)·m doubles).
+//   lp_revised        revised-simplex work tracking: per-pivot cost and
+//                     resident solver memory on the lp_resolve_large warm
+//                     round and the shape_partial cold solve. basis_bytes is
+//                     the sparse L/U + update file the solver actually keeps.
 //                     objective_parity re-checks each warm/incremental solve
 //                     against a cold one-shot rebuild.
-//   lp_lu             the PR 7 basis-size sweep: routing-shaped LPs generated
-//                     at increasing link counts, each solved cold under both
-//                     basis representations. Per point: wall-clock, pivots,
-//                     per-pivot ms and resident basis bytes for dense-inverse
-//                     vs sparse LU, plus the LU factor telemetry (lu_nnz,
-//                     fill_ratio, eta_count, refactorizations). The point of
-//                     the sweep is that the LU per-pivot cost and bytes grow
-//                     sub-quadratically in m while the dense inverse does not
-//                     — the asymptotic win is measured, not asserted.
-//                     basis_parity (gated by ci.sh --bench-smoke) requires
-//                     both representations to reach the same objective at
-//                     every sweep point.
-//   lp_pricing        full-Dantzig vs partial (candidate-list) pricing A/B:
-//                     routing-shaped LPs solved cold both ways, plus the
-//                     Fig. 13 loop over a warm-cache corpus slice, recording
-//                     columns priced per simplex iteration and wall-clock;
-//                     objectives must agree (the lp_pricing_test property
-//                     asserts the same parity in ctest)
+//   lp_lu             basis-size sweep: routing-shaped LPs generated at
+//                     increasing link counts, each solved cold. Per point:
+//                     wall-clock, pivots, per-pivot ms and resident basis
+//                     bytes, plus the LU factor telemetry (lu_nnz,
+//                     fill_ratio, eta_count, refactorizations) — the sweep
+//                     shows how per-pivot cost and bytes grow with m.
+//   lp_pricing        partial (candidate-list) pricing on routing-shaped LPs
+//                     solved cold, plus the Fig. 13 loop over a warm-cache
+//                     corpus slice: columns priced per simplex iteration and
+//                     wall-clock.
+//   kkt               every LP answer the lp_* sections above obtain (and
+//                     the final routing LP of the corpus slice and of the
+//                     fig21 fixture's LDR and MinMax runs) certified by
+//                     lp::CheckOptimality against its own problem data:
+//                     solves, how many certified, and the worst scaled
+//                     residual per condition. kkt_certified (gated by
+//                     ci.sh --bench-smoke) is true only if at least one solve
+//                     was checked and every one certified — it proves each
+//                     answer optimal rather than agreeing with a second
+//                     solver.
 //   scenario          the fig21 failure/recovery timeline driven by the
 //                     ScenarioEngine on a zoo topology: per-epoch LDR solve
 //                     medians warm (persistent LP across epochs) vs cold
@@ -133,6 +128,43 @@ double MedianMs(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
+// --- kkt --------------------------------------------------------------------
+
+// Running certification of every LP answer the bench obtains. Certificates
+// are computed outside the timed regions.
+struct KktTally {
+  long solves = 0;
+  long certified = 0;
+  double primal_residual = 0;
+  double dual_residual = 0;
+  double complementarity = 0;
+  double gap = 0;
+
+  void Add(const lp::Problem& p, const lp::Solution& s) {
+    ++solves;
+    lp::Certificate c = lp::CheckOptimality(p, s);
+    if (c.ok) {
+      ++certified;
+    } else {
+      std::fprintf(stderr, "bench_to_json: KKT certificate failed: %s\n",
+                   c.failure.c_str());
+    }
+    primal_residual = std::max(primal_residual, c.primal_residual);
+    dual_residual = std::max(dual_residual, c.dual_residual);
+    complementarity = std::max(complementarity, c.complementarity);
+    gap = std::max(gap, c.gap);
+  }
+  // The final LP of a Fig. 13 run, as left in the reuse context.
+  void AddRouting(const LpReuseContext& reuse) {
+    if (reuse.lp == nullptr) {
+      ++solves;  // the run's last solve failed: nothing certifiable
+      return;
+    }
+    Add(reuse.lp->solver().Snapshot(), reuse.lp->last_solution());
+  }
+  bool all_certified() const { return solves > 0 && certified == solves; }
+};
+
 // --- lp_resolve -------------------------------------------------------------
 
 struct WarmCold {
@@ -141,7 +173,7 @@ struct WarmCold {
   double speedup() const { return warm_ms > 0 ? cold_ms / warm_ms : 0; }
 };
 
-WarmCold BenchLpResolve(int aggregates, int links, int reps) {
+WarmCold BenchLpResolve(int aggregates, int links, int reps, KktTally* kkt) {
   WarmCold wc;
   std::vector<double> warm, cold;
   for (int r = 0; r < reps; ++r) {
@@ -160,6 +192,8 @@ WarmCold BenchLpResolve(int aggregates, int links, int reps) {
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
     lp::Solution sc = lp::Solve(p);
     cold.push_back(NowMs() - t0);
+    kkt->Add(base.solver.Snapshot(), sw);
+    kkt->Add(p, sc);
 
     if (sw.ok() && sc.ok() &&
         std::abs(sw.objective - sc.objective) >
@@ -241,40 +275,28 @@ struct PricingRun {
   long columns = 0;      // total columns priced
   long iters = 0;        // total simplex iterations
   long solved = 0;       // instances that reached optimal
-  double objective = 0;  // summed objectives / max levels (parity fingerprint)
   double per_iter() const {
     return iters > 0 ? static_cast<double>(columns) / static_cast<double>(iters)
                      : 0;
   }
 };
 
-// Parity holds only when both modes solved the same number of instances,
-// at least one, AND the objective fingerprints agree — a failed solve must
-// not silently drop out of one side's sum.
-bool PricingParity(const PricingRun& a, const PricingRun& b) {
-  return a.solved == b.solved && a.solved > 0 &&
-         std::abs(a.objective - b.objective) <=
-             1e-5 * (1 + std::abs(a.objective));
-}
-
-// Cold solves of routing-shaped LPs under one pricing mode.
-PricingRun BenchPricingShapes(lp::PricingMode mode, int aggregates, int links,
-                              int reps) {
+// Cold solves of routing-shaped LPs.
+PricingRun BenchPricingShapes(int aggregates, int links, int reps,
+                              KktTally* kkt) {
   PricingRun out;
   std::vector<double> times;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(21 + static_cast<uint64_t>(r),
                                              aggregates, links);
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
-    lp::SolveOptions so;
-    so.pricing.mode = mode;
     double t0 = NowMs();
-    lp::Solution s = lp::Solve(p, so);
+    lp::Solution s = lp::Solve(p);
     times.push_back(NowMs() - t0);
+    kkt->Add(p, s);
     if (s.ok()) {
       out.columns += s.columns_priced;
       out.iters += s.iterations;
-      out.objective += s.objective;
       ++out.solved;
     }
   }
@@ -283,8 +305,7 @@ PricingRun BenchPricingShapes(lp::PricingMode mode, int aggregates, int links,
 }
 
 // The Fig. 13 loop over small corpus topologies with pre-warmed KSP caches,
-// so the timed passes measure LP work rather than Yen's algorithm. Both
-// pricing modes run against the same caches and workloads.
+// so the timed pass measures LP work rather than Yen's algorithm.
 struct CorpusPricingFixture {
   std::vector<Topology> corpus;  // owns the graphs tops/caches point into
   std::vector<const Topology*> tops;
@@ -312,20 +333,21 @@ CorpusPricingFixture MakePricingFixture(std::vector<Topology> corpus) {
   return f;
 }
 
-PricingRun BenchPricingCorpus(CorpusPricingFixture* f, lp::PricingMode mode) {
+PricingRun BenchPricingCorpus(CorpusPricingFixture* f, KktTally* kkt) {
   PricingRun out;
+  std::vector<LpReuseContext> final_lps(f->tops.size());
   double t0 = NowMs();
   for (size_t i = 0; i < f->tops.size(); ++i) {
     IterativeOptions opts;
-    opts.lp.pricing.mode = mode;
     RoutingOutcome o = IterativeLpRoute(f->tops[i]->graph, f->workloads[i],
-                                        f->caches[i].get(), opts);
+                                        f->caches[i].get(), opts,
+                                        &final_lps[i]);
     out.columns += o.lp_columns_priced;
     out.iters += o.lp_iterations;
-    out.objective += o.max_level;
     ++out.solved;
   }
   out.ms = NowMs() - t0;
+  for (const LpReuseContext& reuse : final_lps) kkt->AddRouting(reuse);
   return out;
 }
 
@@ -337,8 +359,7 @@ struct RevisedStats {
   long iters = 0;             // summed simplex iterations
   long pivots = 0;            // summed basis-changing pivots
   long ftran_nnz = 0;         // summed FTRAN input nonzeros
-  size_t basis_bytes = 0;     // resident B^-1 bytes (last measured solver)
-  size_t dense_tableau_bytes = 0;  // (n+m)·m doubles the PR 4 tableau held
+  size_t basis_bytes = 0;     // resident L/U + file bytes (last solver)
   bool objective_parity = true;
   double per_pivot_ms() const {
     return pivots > 0 ? total_ms / static_cast<double>(pivots) : 0;
@@ -347,17 +368,13 @@ struct RevisedStats {
 
 // The lp_resolve_large experiment (one Fig. 13 growth round re-solved warm),
 // instrumented: pivots, FTRAN volume, and the resident factorization bytes.
-// `basis` selects the representation — the dense-inverse run of the same
-// experiment is the section's measured baseline.
 RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
-                                 lp::BasisMode basis) {
+                                 KktTally* kkt) {
   RevisedStats out;
-  lp::SolveOptions so;
-  so.basis.mode = basis;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(7 + static_cast<uint64_t>(r),
                                              aggregates, links);
-    bench::WarmLp warm = bench::BuildSolverBase(spec, so);
+    bench::WarmLp warm = bench::BuildSolverBase(spec);
     lp::Solution s0 = warm.solver.Solve();
     if (!s0.ok()) {
       out.objective_parity = false;  // a failed solve must not drop out
@@ -367,6 +384,7 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
     bench::AppendGrowth(spec, &warm);
     lp::Solution sw = warm.solver.Solve();
     out.total_ms += NowMs() - t0;
+    kkt->Add(warm.solver.Snapshot(), sw);
     if (!sw.ok()) {
       out.objective_parity = false;
       continue;
@@ -376,11 +394,9 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
     out.pivots += sw.pivots;
     out.ftran_nnz += sw.ftran_nnz;
     out.basis_bytes = sw.basis_bytes;
-    size_t n = warm.solver.VariableCount();
-    size_t m = warm.solver.RowCount();
-    out.dense_tableau_bytes = (n + m) * m * sizeof(double);
-    lp::Solution sc =
-        lp::Solve(bench::BuildProblem(spec, /*with_growth=*/true), so);
+    lp::Problem cold = bench::BuildProblem(spec, /*with_growth=*/true);
+    lp::Solution sc = lp::Solve(cold);
+    kkt->Add(cold, sc);
     if (!sc.ok() || std::abs(sw.objective - sc.objective) >
                         1e-5 * (1 + std::abs(sc.objective))) {
       out.objective_parity = false;
@@ -392,17 +408,16 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
 // The shape_partial experiment (cold routing-shaped LP, partial pricing),
 // instrumented the same way.
 RevisedStats BenchRevisedShapes(int aggregates, int links, int reps,
-                                lp::BasisMode basis) {
+                                KktTally* kkt) {
   RevisedStats out;
-  lp::SolveOptions so;
-  so.basis.mode = basis;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(21 + static_cast<uint64_t>(r),
                                              aggregates, links);
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
     double t0 = NowMs();
-    lp::Solution s = lp::Solve(p, so);
+    lp::Solution s = lp::Solve(p);
     out.total_ms += NowMs() - t0;
+    kkt->Add(p, s);
     if (!s.ok()) {
       out.objective_parity = false;
       continue;
@@ -412,76 +427,49 @@ RevisedStats BenchRevisedShapes(int aggregates, int links, int reps,
     out.pivots += s.pivots;
     out.ftran_nnz += s.ftran_nnz;
     out.basis_bytes = s.basis_bytes;
-    size_t n = p.VariableCount();
-    size_t m = p.RowCount();
-    out.dense_tableau_bytes = (n + m) * m * sizeof(double);
   }
   return out;
 }
 
 // --- lp_lu ------------------------------------------------------------------
 
-// One sweep point: the same generated routing-shaped LP solved cold under
-// both basis representations.
+// One sweep point: the same generated routing-shaped LP solved cold.
 struct LuSweepPoint {
   int groups = 0;
   int links = 0;
   size_t rows = 0;  // m of the solved LP
-  double dense_ms = 0, lu_ms = 0;
-  long dense_pivots = 0, lu_pivots = 0;
-  size_t dense_basis_bytes = 0, lu_basis_bytes = 0;
+  double lu_ms = 0;
+  long lu_pivots = 0;
+  size_t lu_basis_bytes = 0;
   long lu_nnz = 0;
   double fill_ratio = 0;
   int eta_count = 0;
   int refactorizations = 0;
   int pivot_recoveries = 0;
-  bool parity = false;
-  double dense_per_pivot_ms() const {
-    return dense_pivots > 0 ? dense_ms / static_cast<double>(dense_pivots) : 0;
-  }
   double lu_per_pivot_ms() const {
     return lu_pivots > 0 ? lu_ms / static_cast<double>(lu_pivots) : 0;
   }
 };
 
-LuSweepPoint BenchLuSweepPoint(int groups, int links, int reps) {
+LuSweepPoint BenchLuSweepPoint(int groups, int links, int reps,
+                               KktTally* kkt) {
   LuSweepPoint out;
   out.groups = groups;
   out.links = links;
-  std::vector<double> dense_times, lu_times;
-  out.parity = true;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(401 + static_cast<uint64_t>(r),
                                              groups, links);
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
     out.rows = p.RowCount();
-
-    lp::SolveOptions dense_so;
-    dense_so.basis.mode = lp::BasisMode::kDenseInverse;
+    // Wall-clock is summed over reps, like the pivot counts, so the
+    // per-pivot quotients stay comparable across points with different rep
+    // counts.
     double t0 = NowMs();
-    lp::Solution sd = lp::Solve(p, dense_so);
-    dense_times.push_back(NowMs() - t0);
-
-    lp::SolveOptions lu_so;
-    lu_so.basis.mode = lp::BasisMode::kSparseLU;
-    t0 = NowMs();
-    lp::Solution sl = lp::Solve(p, lu_so);
-    lu_times.push_back(NowMs() - t0);
-
-    if (!sd.ok() || !sl.ok() ||
-        std::abs(sd.objective - sl.objective) >
-            1e-5 * (1 + std::abs(sd.objective))) {
-      out.parity = false;
-      std::fprintf(stderr,
-                   "bench_to_json: lp_lu parity mismatch at m=%zu "
-                   "(dense %g, lu %g)\n",
-                   out.rows, sd.ok() ? sd.objective : std::nan(""),
-                   sl.ok() ? sl.objective : std::nan(""));
-      continue;
-    }
-    out.dense_pivots += sd.pivots;
+    lp::Solution sl = lp::Solve(p);
+    out.lu_ms += NowMs() - t0;
+    kkt->Add(p, sl);
+    if (!sl.ok()) continue;
     out.lu_pivots += sl.pivots;
-    out.dense_basis_bytes = sd.basis_bytes;
     out.lu_basis_bytes = sl.basis_bytes;
     out.lu_nnz = sl.lu_nnz;
     out.fill_ratio = sl.fill_ratio;
@@ -489,11 +477,23 @@ LuSweepPoint BenchLuSweepPoint(int groups, int links, int reps) {
     out.refactorizations = sl.refactorizations;
     out.pivot_recoveries += sl.pivot_recoveries;
   }
-  // Wall-clock is summed over reps, like the pivot counts, so the per-pivot
-  // quotients stay comparable across points with different rep counts.
-  for (double t : dense_times) out.dense_ms += t;
-  for (double t : lu_times) out.lu_ms += t;
   return out;
+}
+
+// The final routing LPs of the fig21 fixture's workload under both LP
+// formulations (LDR overload, MinMax utilization), certified — routing LPs
+// that smoke mode also reaches.
+void CertifyFixtureRoutingLps(KktTally* kkt) {
+  bench::FailureTimelineFixture fixture = bench::MakeFailureTimeline();
+  for (bool minmax : {false, true}) {
+    KspCache cache(&fixture.zoo.graph);
+    IterativeOptions opts;
+    opts.lp.minmax = minmax;
+    LpReuseContext reuse;
+    IterativeLpRoute(fixture.zoo.graph, fixture.scenario.aggregates, &cache,
+                     opts, &reuse);
+    kkt->AddRouting(reuse);
+  }
 }
 
 // --- scenario ---------------------------------------------------------------
@@ -849,9 +849,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  KktTally kkt;
   std::fprintf(stderr, "bench_to_json: lp_resolve...\n");
-  WarmCold resolve_small = BenchLpResolve(50, 25, smoke ? 3 : 7);
-  WarmCold resolve_large = BenchLpResolve(150, 75, smoke ? 1 : 3);
+  WarmCold resolve_small = BenchLpResolve(50, 25, smoke ? 3 : 7, &kkt);
+  WarmCold resolve_large = BenchLpResolve(150, 75, smoke ? 1 : 3, &kkt);
 
   WarmCold loop_small, loop_large;
   if (!smoke) {
@@ -862,55 +863,36 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "bench_to_json: lp_revised...\n");
   RevisedStats revised_resolve =
-      BenchRevisedResolve(150, 75, smoke ? 1 : 3, lp::BasisMode::kSparseLU);
+      BenchRevisedResolve(150, 75, smoke ? 1 : 3, &kkt);
   RevisedStats revised_shapes =
-      BenchRevisedShapes(120, 60, smoke ? 2 : 5, lp::BasisMode::kSparseLU);
-  // The measured self-baseline: identical experiments under the dense-inverse
-  // knob, in this process, replacing the frozen PR 4 constants.
-  RevisedStats revised_resolve_dense = BenchRevisedResolve(
-      150, 75, smoke ? 1 : 3, lp::BasisMode::kDenseInverse);
-  RevisedStats revised_shapes_dense = BenchRevisedShapes(
-      120, 60, smoke ? 2 : 5, lp::BasisMode::kDenseInverse);
+      BenchRevisedShapes(120, 60, smoke ? 2 : 5, &kkt);
   bool revised_parity =
-      revised_resolve.objective_parity && revised_shapes.objective_parity &&
-      revised_resolve_dense.objective_parity &&
-      revised_shapes_dense.objective_parity;
+      revised_resolve.objective_parity && revised_shapes.objective_parity;
   if (!revised_parity) {
     std::fprintf(stderr, "bench_to_json: lp_revised objective mismatch\n");
   }
 
   std::fprintf(stderr, "bench_to_json: lp_lu sweep...\n");
   std::vector<LuSweepPoint> lu_sweep;
-  lu_sweep.push_back(BenchLuSweepPoint(50, 25, smoke ? 1 : 3));
-  lu_sweep.push_back(BenchLuSweepPoint(100, 50, smoke ? 1 : 3));
-  lu_sweep.push_back(BenchLuSweepPoint(200, 100, smoke ? 1 : 2));
-  lu_sweep.push_back(BenchLuSweepPoint(400, 200, 1));
-  bool basis_parity = true;
-  for (const LuSweepPoint& pt : lu_sweep) basis_parity &= pt.parity;
+  lu_sweep.push_back(BenchLuSweepPoint(50, 25, smoke ? 1 : 3, &kkt));
+  lu_sweep.push_back(BenchLuSweepPoint(100, 50, smoke ? 1 : 3, &kkt));
+  lu_sweep.push_back(BenchLuSweepPoint(200, 100, smoke ? 1 : 2, &kkt));
+  lu_sweep.push_back(BenchLuSweepPoint(400, 200, 1, &kkt));
 
   std::fprintf(stderr, "bench_to_json: lp_pricing...\n");
-  PricingRun shape_full =
-      BenchPricingShapes(lp::PricingMode::kDantzig, 120, 60, smoke ? 2 : 5);
   PricingRun shape_partial =
-      BenchPricingShapes(lp::PricingMode::kPartial, 120, 60, smoke ? 2 : 5);
-  PricingRun corpus_full, corpus_partial;
+      BenchPricingShapes(120, 60, smoke ? 2 : 5, &kkt);
+  PricingRun corpus_partial;
   if (!smoke) {
     CorpusPricingFixture fixture = MakePricingFixture(BenchCorpus(8));
-    corpus_full = BenchPricingCorpus(&fixture, lp::PricingMode::kDantzig);
-    corpus_partial = BenchPricingCorpus(&fixture, lp::PricingMode::kPartial);
+    corpus_partial = BenchPricingCorpus(&fixture, &kkt);
   }
-  bool pricing_parity =
-      PricingParity(shape_full, shape_partial) &&
-      (smoke || PricingParity(corpus_full, corpus_partial));
-  if (!pricing_parity) {
-    std::fprintf(stderr,
-                 "bench_to_json: full/partial pricing mismatch "
-                 "(shapes %g vs %g over %ld/%ld solved, corpus %g vs %g "
-                 "over %ld/%ld solved)\n",
-                 shape_full.objective, shape_partial.objective,
-                 shape_full.solved, shape_partial.solved,
-                 corpus_full.objective, corpus_partial.objective,
-                 corpus_full.solved, corpus_partial.solved);
+
+  std::fprintf(stderr, "bench_to_json: kkt...\n");
+  CertifyFixtureRoutingLps(&kkt);
+  if (!kkt.all_certified()) {
+    std::fprintf(stderr, "bench_to_json: %ld of %ld LP answers certified\n",
+                 kkt.certified, kkt.solves);
   }
 
   std::fprintf(stderr, "bench_to_json: scenario...\n");
@@ -1000,34 +982,18 @@ int main(int argc, char** argv) {
                scenario.placement_parity ? "true" : "false",
                static_cast<unsigned long long>(scenario.ksp_evictions),
                single_core ? ", \"invalid_single_core\": true" : "");
-  // The baseline is the dense-inverse run of the same experiment, measured
-  // in this process — not a frozen constant from a previous PR's container.
-  auto emit_revised = [&](const char* name, const RevisedStats& rs,
-                          const RevisedStats& dense) {
+  auto emit_revised = [&](const char* name, const RevisedStats& rs) {
     double per_solve = rs.reps > 0 ? rs.total_ms / rs.reps : 0;
-    double dense_per_solve = dense.reps > 0 ? dense.total_ms / dense.reps : 0;
     std::fprintf(
         f,
         "    \"%s\": {\"ms\": %.3f, \"iterations\": %ld, \"pivots\": %ld, "
-        "\"per_pivot_ms\": %.5f, \"dense_ms\": %.3f, \"dense_per_pivot_ms\": "
-        "%.5f, \"speedup\": %.2f, \"ftran_nnz\": %ld, \"basis_bytes\": %zu, "
-        "\"dense_basis_bytes\": %zu, \"dense_tableau_bytes\": %zu, "
-        "\"memory_ratio\": %.2f, "
-        "\"time_improved\": %s, \"memory_improved\": %s},\n",
-        name, per_solve, rs.iters, rs.pivots, rs.per_pivot_ms(),
-        dense_per_solve, dense.per_pivot_ms(),
-        per_solve > 0 ? dense_per_solve / per_solve : 0, rs.ftran_nnz,
-        rs.basis_bytes, dense.basis_bytes, rs.dense_tableau_bytes,
-        rs.basis_bytes > 0
-            ? static_cast<double>(dense.basis_bytes) /
-                  static_cast<double>(rs.basis_bytes)
-            : 0,
-        per_solve < dense_per_solve ? "true" : "false",
-        rs.basis_bytes < dense.basis_bytes ? "true" : "false");
+        "\"per_pivot_ms\": %.5f, \"ftran_nnz\": %ld, \"basis_bytes\": %zu},\n",
+        name, per_solve, rs.iters, rs.pivots, rs.per_pivot_ms(), rs.ftran_nnz,
+        rs.basis_bytes);
   };
   std::fprintf(f, "  \"lp_revised\": {\n");
-  emit_revised("lp_resolve_large", revised_resolve, revised_resolve_dense);
-  emit_revised("shape_partial", revised_shapes, revised_shapes_dense);
+  emit_revised("lp_resolve_large", revised_resolve);
+  emit_revised("shape_partial", revised_shapes);
   std::fprintf(f, "    \"objective_parity\": %s\n  },\n",
                revised_parity ? "true" : "false");
   std::fprintf(f, "  \"lp_lu\": {\n    \"sweep\": [\n");
@@ -1036,22 +1002,16 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "      {\"groups\": %d, \"links\": %d, \"rows\": %zu, "
-        "\"dense_ms\": %.3f, \"lu_ms\": %.3f, "
-        "\"dense_per_pivot_ms\": %.5f, \"lu_per_pivot_ms\": %.5f, "
-        "\"dense_basis_bytes\": %zu, \"lu_basis_bytes\": %zu, "
+        "\"lu_ms\": %.3f, \"lu_per_pivot_ms\": %.5f, "
+        "\"lu_basis_bytes\": %zu, "
         "\"lu_nnz\": %ld, \"fill_ratio\": %.2f, \"eta_count\": %d, "
-        "\"refactorizations\": %d, \"pivot_recoveries\": %d, "
-        "\"speedup\": %.2f, \"parity\": %s}%s\n",
-        pt.groups, pt.links, pt.rows, pt.dense_ms, pt.lu_ms,
-        pt.dense_per_pivot_ms(), pt.lu_per_pivot_ms(), pt.dense_basis_bytes,
+        "\"refactorizations\": %d, \"pivot_recoveries\": %d}%s\n",
+        pt.groups, pt.links, pt.rows, pt.lu_ms, pt.lu_per_pivot_ms(),
         pt.lu_basis_bytes, pt.lu_nnz, pt.fill_ratio, pt.eta_count,
         pt.refactorizations, pt.pivot_recoveries,
-        pt.lu_ms > 0 ? pt.dense_ms / pt.lu_ms : 0,
-        pt.parity ? "true" : "false",
         i + 1 < lu_sweep.size() ? "," : "");
   }
-  std::fprintf(f, "    ],\n    \"basis_parity\": %s\n  },\n",
-               basis_parity ? "true" : "false");
+  std::fprintf(f, "    ]\n  },\n");
   auto emit_pricing = [&](const char* name, const PricingRun& pr, bool comma) {
     std::fprintf(f,
                  "    \"%s\": {\"ms\": %.3f, \"columns_priced\": %ld, "
@@ -1061,13 +1021,17 @@ int main(int argc, char** argv) {
                  comma ? "," : "");
   };
   std::fprintf(f, "  \"lp_pricing\": {\n");
-  emit_pricing("shape_full", shape_full, true);
   emit_pricing("shape_partial", shape_partial, true);
-  emit_pricing("corpus_full", corpus_full, true);
-  emit_pricing("corpus_partial", corpus_partial, true);
-  std::fprintf(f, "    \"objective_parity\": %s\n",
-               pricing_parity ? "true" : "false");
+  emit_pricing("corpus_partial", corpus_partial, false);
   std::fprintf(f, "  },\n");
+  std::fprintf(f,
+               "  \"kkt\": {\"solves\": %ld, \"certified\": %ld, "
+               "\"max_primal_residual\": %.3g, \"max_dual_residual\": %.3g, "
+               "\"max_complementarity\": %.3g, \"max_gap\": %.3g, "
+               "\"kkt_certified\": %s},\n",
+               kkt.solves, kkt.certified, kkt.primal_residual,
+               kkt.dual_residual, kkt.complementarity, kkt.gap,
+               kkt.all_certified() ? "true" : "false");
   // degraded_solve_ms is wall-clock and inherits the 1-core caveat; the
   // rung counts and recovery_parity are correctness and carry no marker.
   std::fprintf(
@@ -1151,16 +1115,16 @@ int main(int argc, char** argv) {
 
   std::printf(
       "lp_resolve    warm %.3f ms  cold %.3f ms  speedup %.1fx\n"
-      "lp_revised    resolve_large %.3f ms (dense %.3f)  shape_partial %.3f ms "
-      "(dense %.3f)  basis %zu B vs dense %zu B  parity %s\n"
-      "lp_lu         largest m=%zu  dense %.1f ms / %zu B  lu %.1f ms / %zu B  "
-      "speedup %.1fx  fill %.2f  parity %s\n"
+      "lp_revised    resolve_large %.3f ms  shape_partial %.3f ms  basis %zu B  "
+      "parity %s\n"
+      "lp_lu         largest m=%zu  %.1f ms / %zu B  fill %.2f\n"
       "iterative     warm %.3f ms  cold %.3f ms  speedup %.1fx\n"
       "threads 1->4  %.1f ms -> %.1f ms  speedup %.2fx\n"
       "path_store    %llu allocation refs -> %llu unique paths  "
       "hit rate %.1f%%\n"
-      "lp_pricing    shapes %.1f -> %.1f cols/iter (%.3f -> %.3f ms)  "
-      "corpus %.1f -> %.1f cols/iter (%.1f -> %.1f ms)  parity %s\n"
+      "lp_pricing    shapes %.1f cols/iter (%.3f ms)  "
+      "corpus %.1f cols/iter (%.1f ms)\n"
+      "kkt           %ld / %ld LP answers certified\n"
       "scenario      warm %.3f ms  cold %.3f ms  speedup %.1fx  "
       "churn %.3f  reconverge down/up %d/%d  parity %s\n"
       "degradation   %zu fault epochs  rungs r1/r2/r3/r4 %zu/%zu/%zu/%zu  "
@@ -1168,30 +1132,17 @@ int main(int argc, char** argv) {
       resolve_small.warm_ms, resolve_small.cold_ms, resolve_small.speedup(),
       revised_resolve.reps > 0 ? revised_resolve.total_ms / revised_resolve.reps
                                : 0.0,
-      revised_resolve_dense.reps > 0
-          ? revised_resolve_dense.total_ms / revised_resolve_dense.reps
-          : 0.0,
       revised_shapes.reps > 0 ? revised_shapes.total_ms / revised_shapes.reps
                               : 0.0,
-      revised_shapes_dense.reps > 0
-          ? revised_shapes_dense.total_ms / revised_shapes_dense.reps
-          : 0.0,
-      revised_shapes.basis_bytes, revised_shapes_dense.basis_bytes,
-      revised_parity ? "yes" : "NO",
-      lu_sweep.back().rows, lu_sweep.back().dense_ms,
-      lu_sweep.back().dense_basis_bytes, lu_sweep.back().lu_ms,
-      lu_sweep.back().lu_basis_bytes,
-      lu_sweep.back().lu_ms > 0
-          ? lu_sweep.back().dense_ms / lu_sweep.back().lu_ms
-          : 0.0,
-      lu_sweep.back().fill_ratio, basis_parity ? "yes" : "NO",
+      revised_shapes.basis_bytes, revised_parity ? "yes" : "NO",
+      lu_sweep.back().rows, lu_sweep.back().lu_ms,
+      lu_sweep.back().lu_basis_bytes, lu_sweep.back().fill_ratio,
       loop_large.warm_ms, loop_large.cold_ms, loop_large.speedup(), t1, t4,
       t4 > 0 ? t1 / t4 : 0,
       static_cast<unsigned long long>(allocation_refs),
       static_cast<unsigned long long>(unique_paths), hit_rate * 100,
-      shape_full.per_iter(), shape_partial.per_iter(), shape_full.ms,
-      shape_partial.ms, corpus_full.per_iter(), corpus_partial.per_iter(),
-      corpus_full.ms, corpus_partial.ms, pricing_parity ? "yes" : "NO",
+      shape_partial.per_iter(), shape_partial.ms, corpus_partial.per_iter(),
+      corpus_partial.ms, kkt.certified, kkt.solves,
       scenario.warm_median_ms, scenario.cold_median_ms, scenario.speedup(),
       scenario.churn_event_free, scenario.reconverge_down,
       scenario.reconverge_up, scenario.placement_parity ? "yes" : "NO",

@@ -302,7 +302,8 @@ void CheckFailpointRegistry(const Tree& tree) {
 // --- rule 2: ldr-telemetry-thread ------------------------------------------
 
 // Telemetry fields of lp::Solution: every data member except the solution
-// payload itself (status/objective/values). Parsed from the struct body.
+// payload itself (status/objective/values/duals — the answer, not counters
+// about how it was reached). Parsed from the struct body.
 std::vector<std::pair<std::string, size_t>> SolutionTelemetryFields(
     const std::string& lp_header) {
   std::vector<std::pair<std::string, size_t>> fields;
@@ -323,7 +324,7 @@ std::vector<std::pair<std::string, size_t>> SolutionTelemetryFields(
       1 + static_cast<size_t>(std::count(
               code.begin(), code.begin() + static_cast<long>(brace), '\n'));
   static const std::set<std::string> kExcluded = {"status", "objective",
-                                                 "values"};
+                                                 "values", "duals"};
   size_t line = body_line;
   for (const std::string& raw : SplitLines(body)) {
     ++line;
@@ -627,6 +628,61 @@ std::vector<Fixture> SelfTestFixtures() {
         "struct RoutingOutcome {\n  long lp_ghost_counter = 0;\n};\n";
     f.good["tools/bench_to_json.cc"] =
         "// emits ghost_counter\nlong ghost_counter = o.lp_ghost_counter;\n";
+    fixtures.push_back(std::move(f));
+  }
+
+  // ldr-telemetry-thread, payload classification: the row duals are part
+  // of the answer (like values), so a Solution carrying them with no
+  // RoutingOutcome twin and no bench emitter stays quiet — the clean tree —
+  // while the same tree with one unthreaded counter still fires.
+  {
+    Fixture f;
+    f.rule = "ldr-telemetry-thread";
+    const char kPayloadLpH[] =
+        "struct Solution {\n"
+        "  Status status = Status::kInfeasible;\n"
+        "  double objective = 0;\n"
+        "  std::vector<double> values;\n"
+        "  std::vector<double> duals;\n"
+        "  long pivots = 0;\n"
+        "};\n";
+    const char kThreadedScheme[] =
+        "struct RoutingOutcome {\n  long lp_pivots = 0;\n};\n";
+    const char kThreadedBench[] = "long pivots = o.lp_pivots;\n";
+    f.good["src/lp/lp.h"] = kPayloadLpH;
+    f.good["src/routing/scheme.h"] = kThreadedScheme;
+    f.good["tools/bench_to_json.cc"] = kThreadedBench;
+    f.bad["src/lp/lp.h"] =
+        "struct Solution {\n"
+        "  std::vector<double> values;\n"
+        "  std::vector<double> duals;\n"
+        "  long pivots = 0;\n"
+        "  long dual_sweeps = 0;\n"
+        "};\n";
+    f.bad["src/routing/scheme.h"] = kThreadedScheme;
+    f.bad["tools/bench_to_json.cc"] = kThreadedBench;
+    fixtures.push_back(std::move(f));
+  }
+
+  // ldr-telemetry-thread, counter classification: a new counter next to the
+  // payload fires until it is threaded through, even when the payload
+  // fields themselves are left alone.
+  {
+    Fixture f;
+    f.rule = "ldr-telemetry-thread";
+    const char kCounterLpH[] =
+        "struct Solution {\n"
+        "  std::vector<double> values;\n"
+        "  std::vector<double> duals;\n"
+        "  long kkt_checks = 0;\n"
+        "};\n";
+    f.bad["src/lp/lp.h"] = kCounterLpH;
+    f.bad["src/routing/scheme.h"] = "struct RoutingOutcome {\n};\n";
+    f.bad["tools/bench_to_json.cc"] = "int main() {}\n";
+    f.good["src/lp/lp.h"] = kCounterLpH;
+    f.good["src/routing/scheme.h"] =
+        "struct RoutingOutcome {\n  long lp_kkt_checks = 0;\n};\n";
+    f.good["tools/bench_to_json.cc"] = "long kkt_checks = o.lp_kkt_checks;\n";
     fixtures.push_back(std::move(f));
   }
 
