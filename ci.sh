@@ -34,12 +34,17 @@
 #                lp_revised objective_parity, kkt kkt_certified (every LP
 #                answer bench_to_json obtains passes lp::CheckOptimality
 #                against its original problem data), scenario
-#                placement_parity, degradation recovery_parity, lp_dual
-#                warm_restart_parity (dual warm restart vs cold-rebuild
-#                placements reconverge within 2 epochs of each event),
-#                survivability survivability_parity (replaying a failure
-#                campaign from its seed installs bitwise-identical
-#                placements) — is false.
+#                placement_parity (warm engine vs its all-cold run), degradation
+#                recovery_parity, lp_dual warm_restart_parity (at least one
+#                dual-repaired epoch, and placements reconverge with the
+#                all-cold run within 2 epochs of each event), survivability
+#                survivability_parity (replaying a failure campaign from its
+#                seed installs bitwise-identical placements) — is false.
+#                Then run `python3 perfbench/run.py --self-check`: the
+#                end-to-end benchmark compiles src/ on its own (into the
+#                gitignored .bench_build) and reads src types by field name,
+#                so a src API change that breaks it fails here rather than
+#                at benchmark time.
 #                Perf refactors cannot silently break the parity markers the
 #                BENCH baseline stands on.
 #   --soak       implies --sanitize; after the suite, re-run the randomized
@@ -201,4 +206,8 @@ if [ "$BENCH_SMOKE" = 1 ]; then
     fi
   done
   echo "ci.sh: bench smoke OK (objective parity/KKT certificate/placement/recovery/warm-restart/survivability parity true)" >&2
+  # The end-to-end benchmark builds src/ itself; its self-check runs every
+  # gated workload briefly and validates the result lines and traces.
+  python3 perfbench/run.py --self-check >&2
+  echo "ci.sh: perfbench self-check OK" >&2
 fi

@@ -368,8 +368,12 @@ class Solver::Impl {
             ? opt_.refactor_interval
             : std::max<long>(kMinAutoRefactorInterval,
                              8 * static_cast<long>(m_));
+    // The update-file bound is otherwise only checked before a pivot, so
+    // row extensions AddRow appended since the last solve are folded in
+    // here too — a solve that barely pivots must not return above it.
     if (opt_.refactor_interval >= 0 &&
-        updates_since_refactor_ >= refactor_after) {
+        (updates_since_refactor_ >= refactor_after ||
+         (factor_valid_ && NeedsEtaRefactor()))) {
       factor_valid_ = false;
     }
 
@@ -391,7 +395,7 @@ class Solver::Impl {
     // (dual feasibility lost, numerical breakdown, stall) falls through to
     // the primal phase-1 loop below, whose Bland path is the anti-cycling
     // authority.
-    if (opt_.warm_restart && ever_optimal_ && HasInfeasibleBasic()) {
+    if (ever_optimal_ && HasInfeasibleBasic()) {
       // Fault site: the warm basis reports dual feasibility lost, forcing
       // the primal phase-1 fallback path without constructing a genuinely
       // dual-infeasible basis.
@@ -739,6 +743,11 @@ class Solver::Impl {
   // the pricing sweeps (and Bland's rule) walk.
   int RefAt(size_t p) const {
     return p < n_ ? static_cast<int>(p) : ~static_cast<int>(p - n_);
+  }
+  // Inverse of RefAt: a column ref's position in that scan order.
+  size_t ScanPos(int ref) const {
+    return ref >= 0 ? static_cast<size_t>(ref)
+                    : n_ + static_cast<size_t>(~ref);
   }
 
   // A basic variable counts as infeasible when it violates a bound by more
@@ -1185,12 +1194,18 @@ class Solver::Impl {
       // bound flip, moving exactly own_range, keeps every basic in range.
       t_max = own_range;
     } else {
-      double best_pivot = 0;
+      // The largest pivot within the tie window — except in Bland mode,
+      // whose termination guarantee needs its leaving half too: of the
+      // minimum-ratio rows, the one whose basic variable comes first in
+      // scan order (a largest-pivot choice there can cycle forever).
+      const bool bland = *degenerate_run >= kBlandThreshold;
+      double best = -kInfinity;
       for (size_t i = 0; i < m_; ++i) {
-        if (rt_[i] > t_cap) continue;
-        double mag = std::abs(ecol[i]);
-        if (mag > best_pivot) {
-          best_pivot = mag;
+        if (rt_[i] > (bland ? t_row_min : t_cap)) continue;
+        double score = bland ? -static_cast<double>(ScanPos(basis_[i]))
+                             : std::abs(ecol[i]);
+        if (score > best) {
+          best = score;
           leave_row = static_cast<int>(i);
         }
       }

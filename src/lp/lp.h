@@ -15,9 +15,9 @@
 // variables — and phase 2 the real objective. Both price entering columns
 // partially (a bounded candidate list refreshed by rotating sweeps, with a
 // full sweep only to prove optimality) and fall back to Bland's rule after a
-// run of degenerate pivots, which guarantees termination. A basis that bound
-// or rhs repair left primal infeasible re-enters through dual simplex
-// (SolveOptions::warm_restart).
+// run of degenerate pivots, which guarantees termination. A previously
+// optimal basis that bound or rhs repair left primal infeasible re-enters
+// through dual simplex instead of phase 1.
 //
 // Two entry points:
 //
@@ -155,15 +155,6 @@ struct SolveOptions {
   // that would blow the epoch budget surfaces as kDeadline and the caller
   // walks the fallback ladder instead of stalling the epoch.
   double deadline_ms = -1;
-  // Dual-simplex warm restart. When a Solve() begins from a previously
-  // optimal basis that bound/rhs repair (FixVariable, SetBounds, SetRhs —
-  // the topology-delta entry points) left primal infeasible but still dual
-  // feasible, enter dual simplex and pivot straight back to optimality
-  // instead of paying primal phase 1 + phase 2. Dual feasibility is
-  // verified before entry (one pricing sweep) and the solver falls back to
-  // the primal path — with its Bland anti-cycling guard — the moment the
-  // dual loop loses feasibility or progress.
-  bool warm_restart = false;
 };
 
 struct Solution {
@@ -209,13 +200,15 @@ struct Solution {
   // triggers, eta-file bounds, and numerical recoveries).
   int refactorizations = 0;
   // Dual-simplex pivots run while repairing a primal-infeasible warm basis
-  // (SolveOptions::warm_restart; 0 for every primal-only solve).
+  // (0 for every primal-only solve).
   int dual_pivots = 0;
   // Boxed nonbasic variables flipped bound-to-bound over the solve: primal
   // ratio-test flips plus the dual long-step flips.
   int bound_flips = 0;
   // True when this solve entered the dual-simplex warm restart instead of
-  // primal phase 1.
+  // primal phase 1: a previously optimal basis that bound/rhs repair left
+  // primal infeasible but still dual feasible (checked by one pricing
+  // sweep; a loss of dual feasibility or progress falls back to primal).
   bool warm_restart = false;
 
   bool ok() const { return status == Status::kOptimal; }
@@ -278,8 +271,8 @@ class Solver {
   // nonbasic variable is re-rested at the finite bound nearest its previous
   // value and the shift is pushed into the basic values (one FTRAN); a
   // basic one just takes the new bounds — a violation this creates is
-  // repaired by the next Solve() (dual simplex under
-  // SolveOptions::warm_restart, primal phase 1 otherwise).
+  // repaired by the next Solve() (dual simplex from a previously optimal
+  // basis, primal phase 1 otherwise).
   void SetBounds(int var, double lo, double hi);
 
   // Fixes a variable at `value` (lo = hi = value) without touching the

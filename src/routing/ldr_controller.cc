@@ -39,18 +39,12 @@ LdrController::LdrController(const Graph* graph, KspCache* cache,
                              const LdrControllerOptions& opts)
     : g_(graph), cache_(cache), opts_(opts) {}
 
-// Topology hooks: under warm restarts the live LP is not dropped on
-// a topology delta — it is marked dirty and repaired in place on the next
-// epoch (dead-path variables fixed to zero, capacity rows re-synced), with
-// the solver re-entering via dual simplex off the still-dual-feasible
-// basis. warm_restart=false in the routing options drops the LP and
-// rebuilds it cold instead. KSP-cache handling is the same either way.
+// Topology hooks: the live LP is not dropped on a topology delta — it is
+// marked dirty and repaired in place on the next epoch (dead-path variables
+// fixed to zero, capacity rows re-synced), with the solver re-entering via
+// dual simplex off the still-dual-feasible basis.
 void LdrController::MarkLpStale() {
-  if (opts_.routing.lp.warm_restart && reuse_.lp != nullptr) {
-    reuse_.lp->MarkTopologyDirty();
-  } else {
-    DropWarmState();
-  }
+  if (reuse_.lp != nullptr) reuse_.lp->MarkTopologyDirty();
 }
 
 void LdrController::OnLinkDown(LinkId link) {
@@ -68,8 +62,7 @@ void LdrController::OnLinkUp(LinkId) {
 
 void LdrController::OnCapacityChange() {
   // Path identities and delays are untouched; only the LP's capacity rows
-  // are stale — repaired in place under warm restarts, rebuilt cold under
-  // the baseline.
+  // are stale — repaired in place on the next solve.
   MarkLpStale();
 }
 
@@ -256,7 +249,7 @@ LdrControllerResult LdrController::RunEpoch(
     // repair additions), so the placement is not the canonical one a cold
     // rebuild finds. Drop the warm state so the *next* epoch re-optimizes
     // cold off the critical path — placement hashes reconverge bitwise
-    // with the cold A/B baseline within 2 epochs of every event.
+    // with the all-cold run within 2 epochs of every event.
     DropWarmState();
   }
   result.outcome.fallback = result.fallback;

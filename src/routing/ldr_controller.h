@@ -52,10 +52,9 @@ struct LdrControllerResult {
   // Routing wall-clock summed over *all* optimize rounds of the epoch
   // (outcome.solve_ms covers only the final round's re-optimization).
   double solve_ms_total = 0;
-  // True when this epoch re-entered the previous epoch's live LP with
-  // demand deltas instead of rebuilding it (always false for the one-epoch
-  // RunLdrController wrapper; with routing.lp.warm_restart off also false
-  // for the first epoch after a topology delta).
+  // True when this epoch re-entered the previous epoch's live LP instead of
+  // rebuilding it (always false for the one-epoch RunLdrController
+  // wrapper).
   bool warm_epoch = false;
   // True when this epoch's warm re-entry repaired the live LP in place
   // after a topology delta (dead-path variables fixed to zero, capacity
@@ -90,24 +89,22 @@ std::vector<double> AdvancePredictors(
 // path sets (LpReuseContext), and the KSP cache it was handed. The scenario
 // engine owns one of these and threads topology deltas through the
 // OnLinkDown / OnLinkUp / OnCapacityChange hooks, which invalidate exactly
-// as much of that state as the delta requires (PR 9: under warm restarts —
-// the default; routing.lp.warm_restart=false is the cold baseline — the LP
-// is marked dirty and repaired in place instead of dropped):
+// as much of that state as the delta requires (the LP is marked dirty and
+// repaired in place, never dropped):
 //
 //   demand change      nothing — RunEpoch pushes demand deltas warm
 //   capacity change    LP marked dirty (capacity-row coefficients re-synced
-//                      on the next solve); cold baseline: LP dropped.
-//                      Predictors and KSP cache survive (delays unchanged)
+//                      on the next solve). Predictors and KSP cache
+//                      survive (delays unchanged)
 //   link down          targeted KSP eviction of the pairs whose produced
 //                      paths cross the link (KspCache::InvalidateLink over
 //                      the reverse index); LP marked dirty — dead-path
 //                      variables fixed to zero, dual-simplex restart off
-//                      the surviving basis. Cold baseline: LP dropped
+//                      the surviving basis
 //   link up            all generators cleared (a restored link can shorten
 //                      any pair's k-th path; the PathStore arena survives,
 //                      so rediscovered paths keep their ids); LP marked
-//                      dirty — fixed variables released back to [0, 1].
-//                      Cold baseline: LP dropped
+//                      dirty — fixed variables released back to [0, 1]
 class LdrController {
  public:
   // graph and cache must outlive the controller; the cache must be built
@@ -145,9 +142,9 @@ class LdrController {
   void OnLinksDown(const std::vector<LinkId>& links);
   void OnLinksUp(const std::vector<LinkId>& links);
 
-  // Drops the warm LP so the next epoch rebuilds from scratch — the
-  // cold-epoch baseline the scenario engine's incremental=false mode and
-  // the warm-vs-cold benches use.
+  // Drops the warm LP so the next epoch rebuilds from scratch (after a
+  // degraded or repaired epoch, at a fault window's close, and before every
+  // epoch of the scenario engine's all-cold incremental=false run).
   void DropWarmState();
 
   // Generators evicted by OnLinkDown calls so far (telemetry).
@@ -157,7 +154,7 @@ class LdrController {
 
  private:
   // Shared tail of every topology hook: mark the live LP dirty for in-place
-  // repair (warm restarts) or drop it for a cold rebuild (the A/B baseline).
+  // repair on the next epoch.
   void MarkLpStale();
 
   const Graph* g_;

@@ -19,10 +19,10 @@ double NowMs() {
 }
 
 // §8 class weighting: class c uses class_weights[c] (the last entry
-// saturates out-of-range classes); empty means all classes equal. The cold
-// builder, the incremental builder, and the best-solution tracker must all
-// use this one definition — the warm/cold equivalence tests assume the
-// objectives are term-for-term identical.
+// saturates out-of-range classes); empty means all classes equal. The
+// from-scratch builder, the incremental builder, and the best-solution
+// tracker must all use this one definition — the builder-equivalence tests
+// assume the objectives are term-for-term identical.
 double ClassWeight(const std::vector<double>& class_weights,
                    int traffic_class) {
   if (class_weights.empty()) return 1.0;
@@ -34,7 +34,6 @@ lp::SolveOptions SolverOptionsFor(const RoutingLpOptions& opts) {
   lp::SolveOptions so;
   so.max_iters = opts.max_iters;
   so.deadline_ms = opts.deadline_ms;
-  so.warm_restart = opts.warm_restart;
   return so;
 }
 
@@ -531,10 +530,13 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   outcome.store = &store;
   outcome.allocations.resize(aggregates.size());
 
+  // A call without a caller-owned context still runs on one live LP; it
+  // just does not outlive the call.
+  LpReuseContext local;
+  if (reuse == nullptr) reuse = &local;
+
   std::vector<std::vector<PathId>> paths;
-  std::unique_ptr<IncrementalRoutingLp> local_lp;
-  IncrementalRoutingLp* ilp = nullptr;
-  bool warm_entry = reuse != nullptr && reuse->lp != nullptr &&
+  bool warm_entry = reuse->lp != nullptr &&
                     reuse->paths.size() == aggregates.size();
   if (warm_entry && reuse->lp->topology_dirty()) {
     // Topology-event re-entry: the repair fixes every dead-path variable to
@@ -579,7 +581,6 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     outcome.topology_repaired = reuse->lp->topology_dirty();
     paths = reuse->paths;
     reuse->lp->UpdateDemands(aggregates);
-    ilp = reuse->lp.get();
     outcome.reused_warm = true;
   } else {
     paths.resize(aggregates.size());
@@ -591,17 +592,8 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
         paths[a].push_back(p);
       }
     }
-    if (opts.incremental) {
-      auto fresh =
-          std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
-      if (reuse != nullptr) {
-        reuse->lp = std::move(fresh);
-        ilp = reuse->lp.get();
-      } else {
-        local_lp = std::move(fresh);
-        ilp = local_lp.get();
-      }
-    }
+    reuse->lp =
+        std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
   }
 
   // Weighted total delay of a solution — used to keep the best feasible
@@ -660,8 +652,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   // restores the full-quality placement off that path.
   const bool grow_allowed = opts.grow && !outcome.topology_repaired;
   for (int round = 0; round < opts.max_rounds; ++round) {
-    res = ilp != nullptr ? ilp->Solve(paths)
-                         : SolveRoutingLp(store, aggregates, paths, opts.lp);
+    res = reuse->lp->Solve(paths);
     ++outcome.lp_rounds;
     accumulate(res);
     if (!res.solved) {
@@ -669,22 +660,20 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
       // Degradation ladder, rung 1: most in-place solve failures are B^-1
       // drift. Force an exact refactorization of the live solver and retry
       // once before giving up on it.
-      if (ilp != nullptr) {
-        ilp->ForceRefactorize();
-        RoutingLpResult retry = ilp->Solve(paths);
-        accumulate(retry);
-        if (retry.solved) {
-          res = retry;
-          outcome.fallback =
-              std::max(outcome.fallback, FallbackRung::kRetryRefactor);
-        } else {
-          ++outcome.lp_failures;
-        }
+      reuse->lp->ForceRefactorize();
+      RoutingLpResult retry = reuse->lp->Solve(paths);
+      accumulate(retry);
+      if (retry.solved) {
+        res = retry;
+        outcome.fallback =
+            std::max(outcome.fallback, FallbackRung::kRetryRefactor);
+      } else {
+        ++outcome.lp_failures;
       }
       // Rung 2: rebuild the incremental LP cold — fresh solver, exact
       // columns, same grown path sets — and swap it into the reuse slot so
       // later rounds (and the next epoch) run against the healthy instance.
-      if (!res.solved && ilp != nullptr) {
+      if (!res.solved) {
         auto rebuilt =
             std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
         RoutingLpResult cold = rebuilt->Solve(paths);
@@ -693,12 +682,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
           res = cold;
           outcome.fallback =
               std::max(outcome.fallback, FallbackRung::kColdRebuild);
-          ilp = rebuilt.get();
-          if (reuse != nullptr) {
-            reuse->lp = std::move(rebuilt);
-          } else {
-            local_lp = std::move(rebuilt);
-          }
+          reuse->lp = std::move(rebuilt);
         } else {
           ++outcome.lp_failures;
         }
@@ -748,13 +732,11 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
 
   // Persist the grown (pre-restore) path sets for the next warm re-entry;
   // a failed solve poisons the solver state, so drop it instead.
-  if (reuse != nullptr) {
-    if (res.solved) {
-      reuse->paths = paths;
-    } else {
-      reuse->lp.reset();
-      reuse->paths.clear();
-    }
+  if (res.solved) {
+    reuse->paths = paths;
+  } else {
+    reuse->lp.reset();
+    reuse->paths.clear();
   }
 
   // Prefer the best feasible solution seen (LDR mode); otherwise the last.

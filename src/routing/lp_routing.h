@@ -55,14 +55,6 @@ struct RoutingLpOptions {
   // comes back !solved and the caller walks the fallback ladder.
   int max_iters = 0;
   double deadline_ms = -1;
-  // Warm restarts across topology events (forwarded to
-  // lp::SolveOptions::warm_restart): the controller keeps the incremental LP
-  // alive through LinkDown/LinkUp/CapacityScale, repairs it in place, and
-  // the solver re-enters via dual simplex when the warm basis is
-  // primal-infeasible-but-dual-feasible. Default on at the routing layer;
-  // false drops the LP on every topology delta and rebuilds it cold — the
-  // baseline the warm_restart_parity comparison runs against.
-  bool warm_restart = true;
 };
 
 // Result of one LP solve over explicit path sets.
@@ -107,9 +99,11 @@ struct RoutingLpResult {
   bool warm_restart = false;
 };
 
-// Path sets are interned ids into `store` (delays cached at intern time;
-// LP columns are keyed by PathId, making column identity exact across
-// epochs that rediscover the same path).
+// From-scratch build and solve of the LP over explicit path sets: the
+// reference IncrementalRoutingLp is checked against. Path sets are interned
+// ids into `store` (delays cached at intern time; LP columns are keyed by
+// PathId, making column identity exact across epochs that rediscover the
+// same path).
 RoutingLpResult SolveRoutingLp(
     const PathStore& store, const std::vector<Aggregate>& aggregates,
     const std::vector<std::vector<PathId>>& paths,
@@ -211,13 +205,10 @@ struct IterativeOptions {
   int patience = 2;
   // Overload tolerance deciding "the traffic fits".
   double fit_eps = 1e-4;
-  // Use the warm-started IncrementalRoutingLp across rounds (default);
-  // false re-solves every round cold via SolveRoutingLp — kept as the
-  // baseline the micro_iterative bench compares against.
-  bool incremental = true;
 };
 
-// The Fig. 13 loop. Uses (and fills) the KspCache. With `reuse`, the LP and
+// The Fig. 13 loop over one IncrementalRoutingLp, re-solved warm after each
+// growth round. Uses (and fills) the KspCache. With `reuse`, the LP and
 // grown path sets persist across calls (see LpReuseContext); a null reuse
 // keeps the call self-contained.
 RoutingOutcome IterativeLpRoute(const Graph& g,

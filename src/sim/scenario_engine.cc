@@ -241,11 +241,6 @@ ScenarioEngine::ScenarioEngine(const Topology& topology, Scenario scenario,
       graph_(topology.graph),
       cache_(&graph_) {
   if (opts_.scheme_id.empty()) {
-    // Note incremental=false does NOT flip IterativeOptions::incremental:
-    // cold epochs must run the same LP construction a post-event cold start
-    // runs (a fresh IncrementalRoutingLp), differing only in never keeping
-    // it — otherwise degenerate optima could differ bitwise between the two
-    // engines and the parity check would compare builders, not warmth.
     controller_ =
         std::make_unique<LdrController>(&graph_, &cache_, opts_.controller);
   } else {

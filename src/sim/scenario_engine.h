@@ -231,10 +231,9 @@ struct ScenarioReport {
   std::vector<ScenarioEpochReport> epochs;
   std::vector<ScenarioEventReport> events;
   // Warm / dual-repaired / cold epoch split. Cold = LP rebuilt from
-  // scratch: the first epoch, the canonicalization epoch after a repair,
-  // and (with routing.lp.warm_restart off) every epoch after a topology
-  // delta — or all epochs when incremental is off. Dual-repaired = the LP was fixed in
-  // place after a topology event (PR 9).
+  // scratch: the first epoch, the epoch after a repaired or degraded one —
+  // or every epoch when incremental is off. Dual-repaired = the LP was
+  // fixed in place after a topology event.
   size_t warm_epochs = 0;
   size_t cold_epochs = 0;
   size_t dual_repair_epochs = 0;
@@ -287,8 +286,9 @@ struct ScenarioReport {
 
 // True when two runs of the same scenario installed bitwise-identical
 // placements every epoch (allocation_hash equality throughout) — the
-// warm-vs-cold A/B contract checked by fig21 and bench_to_json's scenario
-// section: one definition, so the figure and the JSON cannot drift.
+// warm-vs-all-cold contract (ScenarioEngineOptions::incremental) checked by
+// fig21 and bench_to_json's scenario section: one definition, so the figure
+// and the JSON cannot drift.
 // Dual-repaired epochs (PR 9) are exempt in either report: their placement
 // comes from the in-place LP's history-dependent path sets; the
 // canonicalization epoch after them rebuilds cold and is compared bitwise.
@@ -320,8 +320,11 @@ struct ScenarioEngineOptions {
   // ("SP", "B4", ...) re-routed from scratch each epoch on the same
   // predicted demands — the comparison drivers of the failure benches.
   std::string scheme_id;
-  // false: drop the warm LP before every epoch, so each one rebuilds cold —
-  // the A/B baseline proving warm epochs change nothing but solve time.
+  // false: drop the warm LP before every epoch, so each one rebuilds from a
+  // fresh IncrementalRoutingLp and regrows its paths. This all-cold run is
+  // the one reference every warm/cold parity check compares against:
+  // outside the epochs a topology repair touches, warmth may only change
+  // solve time.
   bool incremental = true;
   ReplayOptions replay;
   AdaptiveDemandOptions adaptive;

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -16,7 +17,7 @@ size_t DefaultThreadCount() {
   const char* env = std::getenv("LDR_THREADS");
   if (env != nullptr) {
     long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<size_t>(v);
+    if (v >= 1) return std::min(static_cast<size_t>(v), kMaxThreads);
   }
   size_t hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

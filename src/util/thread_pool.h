@@ -7,11 +7,11 @@
 // caller writes results into pre-sized, index-addressed slots, so the output
 // is bitwise identical regardless of worker count or scheduling order.
 //
-// Worker count comes from the LDR_THREADS environment variable (default:
-// hardware concurrency), mirroring the LDR_BENCH_SCALE knob. Nested
-// ParallelFor calls — e.g. per-topology parallelism inside a corpus-level
-// sweep — run inline on the calling worker instead of deadlocking or
-// oversubscribing.
+// Worker count comes from the LDR_THREADS environment variable (capped at
+// kMaxThreads; default: hardware concurrency), mirroring the
+// LDR_BENCH_SCALE knob. Nested ParallelFor calls — e.g. per-topology
+// parallelism inside a corpus-level sweep — run inline on the calling
+// worker instead of deadlocking or oversubscribing.
 #ifndef LDR_UTIL_THREAD_POOL_H_
 #define LDR_UTIL_THREAD_POOL_H_
 
@@ -25,8 +25,14 @@
 
 namespace ldr {
 
-// Worker count from LDR_THREADS, or hardware concurrency when unset/invalid
-// (never 0).
+// Ceiling on an LDR_THREADS request. The value comes from outside the
+// program and sizes both the shared pool's OS threads and the corpus
+// runner's per-worker KSP caches, so a huge value must not turn into that
+// many threads.
+inline constexpr size_t kMaxThreads = 256;
+
+// Worker count from LDR_THREADS clamped to [1, kMaxThreads], or hardware
+// concurrency when unset/invalid (never 0).
 size_t DefaultThreadCount();
 
 class ThreadPool {

@@ -17,6 +17,7 @@
 #include "sim/evaluate.h"
 #include "sim/workload.h"
 #include "tests/lp_certify.h"
+#include "tests/routing_lp_equivalence.h"
 #include "topology/topology.h"
 #include "topology/zoo_corpus.h"
 #include "util/random.h"
@@ -170,9 +171,9 @@ TEST(CorpusSerialization, FullRoundTrip) {
 
 // PathStore parity anchor: on a zoo-corpus sample, the interned-handle
 // pipeline must give results bitwise identical to what recomputation from
-// resolved owning Paths gives — same per-aggregate delays, same link loads,
-// and warm (IncrementalRoutingLp) placements agreeing with the cold
-// SolveRoutingLp rebuild on the same PathId sets.
+// resolved owning Paths gives — same per-aggregate delays and link loads —
+// and the live IncrementalRoutingLp solving the LP SolveRoutingLp builds
+// from scratch for the same PathId sets.
 TEST(PathStoreParity, HandlesMatchResolvedPathsOnZooCorpus) {
   std::vector<Topology> corpus = ZooCorpus();
   size_t checked = 0;
@@ -221,27 +222,14 @@ TEST(PathStoreParity, HandlesMatchResolvedPathsOnZooCorpus) {
       }
     }
 
-    // (c) Warm/cold LP parity through PathIds: the incremental solver and
-    // the cold rebuild optimize the identical LP (alternate optimal vertices
-    // may split individual aggregates differently, so compare what the
-    // objective pins down: feasibility, max level, total weighted delay).
-    IterativeOptions warm_opts;
-    warm_opts.incremental = true;
-    IterativeOptions cold_opts;
-    cold_opts.incremental = false;
-    RoutingOutcome warm = IterativeLpRoute(g, aggs, &cache, warm_opts);
-    RoutingOutcome cold = IterativeLpRoute(g, aggs, &cache, cold_opts);
-    EXPECT_EQ(warm.feasible, cold.feasible) << t.name;
-    EXPECT_NEAR(warm.max_level, cold.max_level, 1e-6) << t.name;
-    ASSERT_EQ(warm.allocations.size(), cold.allocations.size());
-    double warm_delay = 0, cold_delay = 0;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      warm_delay +=
-          aggs[a].flow_count * AggregateDelayMs(*warm.store, warm.allocations[a]);
-      cold_delay +=
-          aggs[a].flow_count * AggregateDelayMs(*cold.store, cold.allocations[a]);
+    // (c) Builder equivalence, round by round, in both LP formulations
+    // (see routing_lp_equivalence.h).
+    for (bool minmax : {false, true}) {
+      RoutingLpOptions opts;
+      opts.minmax = minmax;
+      test::ExpectBuildersAgree(aggs, &cache, opts,
+                                t.name + (minmax ? " (MinMax)" : " (LDR)"));
     }
-    EXPECT_NEAR(warm_delay, cold_delay, 1e-5 * (1 + cold_delay)) << t.name;
   }
   ASSERT_GE(checked, 3u);
 }

@@ -26,7 +26,7 @@ namespace {
 // The lp_test mutation-sequence generator, run with the update file capped
 // at four ops so nearly every checkpoint solves across one or more
 // mid-solve refactorizations. Every answer must certify against the
-// solver's own Snapshot() of the accumulated problem.
+// solver's own Snapshot() of the accumulated problem and end within the cap.
 class LpBasisMutationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpBasisMutationTest, AnswersCertifyAcrossRefactorizations) {
@@ -69,6 +69,9 @@ TEST_P(LpBasisMutationTest, AnswersCertifyAcrossRefactorizations) {
     Solution s = solver.Solve();
     ASSERT_TRUE(s.ok()) << ToString(s.status) << " step " << step;
     refactorizations += s.refactorizations;
+    // The cap holds at the end of every solve, row extensions appended
+    // between solves included.
+    EXPECT_LE(s.eta_count, 4) << "step " << step;
     EXPECT_TRUE(test::Certified(solver.Snapshot(), s)) << "step " << step;
   };
 

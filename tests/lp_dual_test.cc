@@ -5,18 +5,18 @@
 //
 // Covered here:
 //  - the entry truth table (cold first solve / primal feasible mutation /
-//    repair under a dual-feasible basis, entered only when warm_restart is
-//    on / dual feasibility lost / genuinely infeasible repair);
+//    repair under a dual-feasible basis / dual feasibility lost / genuinely
+//    infeasible repair);
 //  - dual ratio-test ties and degenerate (zero-length) dual steps;
 //  - randomized bound/rhs-perturbation runs whose every answer passes the
 //    KKT certificate and matches a from-scratch cold solve;
 //  - the lp.dual_infeasible failpoint forcing the primal fallback.
 //
-// Every test that repairs a warm basis runs twice, as a TEST_P over
-// SolveOptions::warm_restart: with it on the repairs enter dual simplex,
-// with it off the same repairs stay on the primal path (the cold-rebuild
-// baseline) — optimality assertions are mode-independent and run
-// unchanged, dual-entry expectations follow the parameter.
+// Every test that repairs a warm basis runs twice, as a TEST_P over the
+// lp.dual_infeasible failpoint: disarmed, the repairs enter dual simplex;
+// armed, the site reports dual feasibility lost and the same repairs run
+// through primal phase 1 — optimality assertions are mode-independent and
+// run unchanged, dual-entry expectations follow the parameter.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,20 +34,28 @@
 namespace ldr::lp {
 namespace {
 
-SolveOptions WithWarm(bool warm) {
-  SolveOptions so;
-  so.warm_restart = warm;
-  return so;
-}
+constexpr char kDualInfeasible[] = "lp.dual_infeasible";
 
-// Parameterized over SolveOptions::warm_restart.
-class LpDualTest : public ::testing::TestWithParam<bool> {
- protected:
-  bool Warm() const { return GetParam(); }
+// Arms lp.dual_infeasible for its lifetime when `armed`.
+struct DualInfeasibleFailpoint {
+  explicit DualInfeasibleFailpoint(bool armed) {
+    if (armed) util::Failpoint::Activate(kDualInfeasible);
+  }
+  ~DualInfeasibleFailpoint() { util::Failpoint::Deactivate(kDualInfeasible); }
+  DualInfeasibleFailpoint(const DualInfeasibleFailpoint&) = delete;
+  DualInfeasibleFailpoint& operator=(const DualInfeasibleFailpoint&) = delete;
 };
 
-std::string WarmName(const ::testing::TestParamInfo<bool>& param) {
-  return param.param ? "Warm" : "Cold";
+// Parameterized over the failpoint, armed for the whole test (see the file
+// comment): Dual() says whether repairs may enter dual simplex.
+class LpDualTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool Dual() const { return !GetParam(); }
+  DualInfeasibleFailpoint failpoint_{GetParam()};
+};
+
+std::string ArmedName(const ::testing::TestParamInfo<bool>& param) {
+  return param.param ? "Armed" : "Disarmed";
 }
 
 // min x0 + x1  s.t.  x0 + x1 >= rhs,  x in [0, 4] — the smallest LP whose
@@ -59,9 +67,8 @@ struct TinyLp {
   int row = -1;
 };
 
-TinyLp MakeTiny(const SolveOptions& so, double rhs = 2.0) {
+TinyLp MakeTiny(double rhs = 2.0) {
   TinyLp t;
-  t.solver = Solver(so);
   t.x0 = t.solver.AddColumn(0, 4, 1.0, {});
   t.x1 = t.solver.AddColumn(0, 4, 1.0, {});
   t.row = t.solver.AddRow(RowType::kGe, rhs, {{t.x0, 1.0}, {t.x1, 1.0}});
@@ -72,8 +79,8 @@ TinyLp MakeTiny(const SolveOptions& so, double rhs = 2.0) {
 
 TEST_P(LpDualTest, ColdFirstSolveNeverEntersDual) {
   // ever-optimal gate: with no previously certified basis the first solve
-  // takes the primal path even with warm_restart configured on.
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+  // takes the primal path.
+  TinyLp t = MakeTiny();
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
   EXPECT_FALSE(s0.warm_restart);
@@ -83,7 +90,7 @@ TEST_P(LpDualTest, ColdFirstSolveNeverEntersDual) {
 TEST_P(LpDualTest, PrimalFeasibleMutationSkipsDual) {
   // AddColumn keeps the basis primal feasible (the Fig. 13 growth path);
   // there is nothing for dual simplex to repair.
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.AddColumn(0, 4, 0.5, {{t.row, 1.0}});
   Solution s1 = t.solver.Solve();
@@ -94,15 +101,15 @@ TEST_P(LpDualTest, PrimalFeasibleMutationSkipsDual) {
 }
 
 TEST_P(LpDualTest, RhsRepairEntersDualAndRecoversOptimality) {
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
   EXPECT_TRUE(test::Certified(t.solver.Snapshot(), s1));
-  EXPECT_EQ(s1.warm_restart, Warm());
-  if (Warm()) {
+  EXPECT_EQ(s1.warm_restart, Dual());
+  if (Dual()) {
     EXPECT_GT(s1.dual_pivots, 0);
   } else {
     EXPECT_EQ(s1.dual_pivots, 0);
@@ -113,7 +120,7 @@ TEST_P(LpDualTest, LostDualFeasibilityFallsBackToPrimal) {
   // An objective mutation that makes a nonbasic column attractive breaks
   // dual feasibility; the pre-entry sweep must detect it and hand the
   // repair to primal phase 1 — still ending optimal.
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+  TinyLp t = MakeTiny();
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
   // The variable resting at 0 is nonbasic; make it strongly attractive.
@@ -139,7 +146,7 @@ TEST_P(LpDualTest, InfeasibleRepairIsReportedByThePrimalAuthority) {
   // rhs beyond the variables' combined bounds: the dual loop runs out of
   // admissible entering candidates and the primal phase-1 fallback owns the
   // infeasibility verdict.
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 9.0);  // max attainable is 8
   Solution s1 = t.solver.Solve();
@@ -153,14 +160,14 @@ TEST_P(LpDualTest, SymmetricTieIsADegenerateDualStep) {
   // cost is exactly 0: the dual ratio test's best step is t = 0, a
   // zero-length (degenerate) pivot. The loop must pivot through it and
   // still certify the right optimum.
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);  // the basic twin alone caps out at 4
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
   EXPECT_TRUE(test::Certified(t.solver.Snapshot(), s1));
-  EXPECT_EQ(s1.warm_restart, Warm());
+  EXPECT_EQ(s1.warm_restart, Dual());
 }
 
 TEST_P(LpDualTest, ScaledTieStaysOptimal) {
@@ -168,7 +175,7 @@ TEST_P(LpDualTest, ScaledTieStaysOptimal) {
   // dual ratios d/|alpha| at different |alpha| magnitudes — the Harris
   // second pass must pick a pivot from the tied set without losing
   // optimality.
-  Solver solver(WithWarm(Warm()));
+  Solver solver;
   int x0 = solver.AddColumn(0, 3, 1.0, {});
   int x1 = solver.AddColumn(0, 3, 2.0, {});
   int row = solver.AddRow(RowType::kGe, 2.0, {{x0, 1.0}, {x1, 2.0}});
@@ -185,7 +192,7 @@ TEST_P(LpDualTest, BoundFlipTelemetryAccumulates) {
   // A boxed column whose dual ratio admits a long step: the flip counter
   // must surface through Solution (exact counts depend on the pivot
   // sequence; the accounting just may not go missing or negative).
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 7.0);
   Solution s1 = t.solver.Solve();
@@ -196,13 +203,13 @@ TEST_P(LpDualTest, BoundFlipTelemetryAccumulates) {
 
 // --- lp.dual_infeasible failpoint -------------------------------------------
 
-TEST_P(LpDualTest, ForcedDualLossFallsBackAndRecovers) {
-  TinyLp t = MakeTiny(WithWarm(Warm()));
+TEST(LpDual, ForcedDualLossFallsBackAndRecovers) {
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);
-  util::Failpoint::Activate("lp.dual_infeasible");
+  util::Failpoint::Activate(kDualInfeasible);
   Solution faulted = t.solver.Solve();
-  long hits = util::Failpoint::HitCount("lp.dual_infeasible");
+  long hits = util::Failpoint::HitCount(kDualInfeasible);
   util::Failpoint::DeactivateAll();
   // The fault only suppresses the dual entry — the primal path must still
   // deliver the optimum.
@@ -210,9 +217,9 @@ TEST_P(LpDualTest, ForcedDualLossFallsBackAndRecovers) {
   EXPECT_NEAR(faulted.objective, 5.0, 1e-6);
   EXPECT_FALSE(faulted.warm_restart);
   EXPECT_EQ(faulted.dual_pivots, 0);
-  // The site sits inside the warm-entry gate: hit exactly when the dual
-  // restart would have engaged.
-  EXPECT_EQ(hits > 0, Warm());
+  // The site sits inside the warm-entry gate: hit because the dual restart
+  // would have engaged.
+  EXPECT_GT(hits, 0);
 
   // With the failpoint cleared the next repair enters dual again. Relaxing
   // the rhs back to 2 drives the basic variable (carrying 1 of the 5) below
@@ -222,7 +229,7 @@ TEST_P(LpDualTest, ForcedDualLossFallsBackAndRecovers) {
   Solution clean = t.solver.Solve();
   ASSERT_TRUE(clean.ok());
   EXPECT_NEAR(clean.objective, 2.0, 1e-6);
-  EXPECT_EQ(clean.warm_restart, Warm());
+  EXPECT_TRUE(clean.warm_restart);
 }
 
 // --- randomized perturbation parity -----------------------------------------
@@ -230,17 +237,18 @@ TEST_P(LpDualTest, ForcedDualLossFallsBackAndRecovers) {
 // Routing-shaped LPs under randomized rhs perturbations and dead-path
 // fix/unfix cycles: after every repair the warm solver's answer must pass
 // the KKT certificate and land on the same objective as a from-scratch cold
-// solve of the accumulated state — with the dual restart on and off.
+// solve of the accumulated state — with lp.dual_infeasible disarmed (dual
+// repairs) and armed (primal repairs).
 class LpDualPerturbParityTest
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
   const uint64_t seed = static_cast<uint64_t>(91000 + std::get<0>(GetParam()));
-  const bool warm_restart = std::get<1>(GetParam());
+  const bool dual = !std::get<1>(GetParam());
+  DualInfeasibleFailpoint failpoint(!dual);
   Rng rng(seed);
   auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
-  const SolveOptions warm_so = WithWarm(warm_restart);
-  bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
+  bench::WarmLp warm = bench::BuildSolverBase(spec);
   Solution s0 = warm.solver.Solve();
   ASSERT_TRUE(s0.ok());
   EXPECT_FALSE(s0.warm_restart);
@@ -285,7 +293,7 @@ TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
       EXPECT_TRUE(sw.warm_restart);
     }
 
-    bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
+    bench::WarmLp fresh = bench::BuildSolverBase(spec);
     for (size_t l = 0; l < link_rhs.size(); ++l) {
       fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
     }
@@ -301,7 +309,7 @@ TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
                 1e-6 * (1 + std::abs(sc.objective)))
         << "step " << step;
   }
-  if (warm_restart) {
+  if (dual) {
     // The perturbation mix reliably leaves primal-infeasible warm bases;
     // at least one repair must have gone through the dual loop.
     EXPECT_GT(dual_pivots_total, 0);
@@ -310,11 +318,12 @@ TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SeedsWarmAndCold, LpDualPerturbParityTest,
+INSTANTIATE_TEST_SUITE_P(SeedsDualFailpoint, LpDualPerturbParityTest,
                          ::testing::Combine(::testing::Range(1, 5),
                                             ::testing::Bool()));
 
-INSTANTIATE_TEST_SUITE_P(WarmRestart, LpDualTest, ::testing::Bool(), WarmName);
+INSTANTIATE_TEST_SUITE_P(DualFailpoint, LpDualTest, ::testing::Bool(),
+                         ArmedName);
 
 }  // namespace
 }  // namespace ldr::lp

@@ -9,6 +9,7 @@
 #include "routing/lp_routing.h"
 #include "routing/shortest_path_routing.h"
 #include "sim/evaluate.h"
+#include "tests/routing_lp_equivalence.h"
 
 namespace ldr {
 namespace {
@@ -462,45 +463,21 @@ TEST(IterativeLp, ZeroAggregates) {
   EXPECT_TRUE(out.allocations.empty());
 }
 
-// The incremental warm-started loop must agree with the cold per-round
-// rebuild: same feasibility, same max level, same weighted delay (the LP is
-// identical round for round, so the optima coincide).
-TEST(IterativeLp, IncrementalMatchesColdRebuild) {
+// Builder equivalence on a small diamond, in both LP formulations: the
+// live IncrementalRoutingLp and the from-scratch SolveRoutingLp solve the
+// same LP round for round (enough demand that the three routes are
+// contended).
+TEST(RoutingLpBuilders, IncrementalMatchesFromScratchOnTriDiamond) {
   Graph g = TriDiamond();
-  KspCache cache(&g);
-  // Enough demand that path growth engages across several rounds.
   std::vector<Aggregate> aggs{MakeAgg(0, 3, 12), MakeAgg(3, 0, 9),
-                              MakeAgg(1, 2, 4)};
-  IterativeOptions warm_opts;
-  warm_opts.incremental = true;
-  IterativeOptions cold_opts;
-  cold_opts.incremental = false;
-  RoutingOutcome warm = IterativeLpRoute(g, aggs, &cache, warm_opts);
-  RoutingOutcome cold = IterativeLpRoute(g, aggs, &cache, cold_opts);
-  EXPECT_EQ(warm.feasible, cold.feasible);
-  EXPECT_NEAR(warm.max_level, cold.max_level, 1e-6);
-  EXPECT_EQ(warm.lp_rounds, cold.lp_rounds);
-  double warm_delay = 0, cold_delay = 0;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    warm_delay += aggs[a].flow_count * AggregateDelayMs(*warm.store, warm.allocations[a]);
-    cold_delay += aggs[a].flow_count * AggregateDelayMs(*cold.store, cold.allocations[a]);
+                              MakeAgg(1, 2, 4), MakeAgg(3, 0, 6),
+                              MakeAgg(0, 4, 5)};
+  for (bool minmax : {false, true}) {
+    KspCache cache(&g);
+    RoutingLpOptions opts;
+    opts.minmax = minmax;
+    test::ExpectBuildersAgree(aggs, &cache, opts, minmax ? "MinMax" : "LDR");
   }
-  EXPECT_NEAR(warm_delay, cold_delay, 1e-5 * std::max(1.0, cold_delay));
-}
-
-TEST(IterativeLp, IncrementalMatchesColdInMinMaxMode) {
-  Graph g = TriDiamond();
-  KspCache cache(&g);
-  std::vector<Aggregate> aggs{MakeAgg(0, 3, 12), MakeAgg(3, 0, 6)};
-  IterativeOptions warm_opts;
-  warm_opts.lp.minmax = true;
-  warm_opts.incremental = true;
-  IterativeOptions cold_opts = warm_opts;
-  cold_opts.incremental = false;
-  RoutingOutcome warm = IterativeLpRoute(g, aggs, &cache, warm_opts);
-  RoutingOutcome cold = IterativeLpRoute(g, aggs, &cache, cold_opts);
-  EXPECT_EQ(warm.feasible, cold.feasible);
-  EXPECT_NEAR(warm.max_level, cold.max_level, 1e-6);
 }
 
 // Re-entering through an LpReuseContext (the controller's headroom rounds)

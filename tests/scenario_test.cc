@@ -6,9 +6,9 @@
 //  - ScenarioEngine determinism (thread-count-independent, bitwise),
 //    warm-vs-cold epoch parity, and a failure/recovery integration run.
 //
-// Every test that drives the LDR LP across a topology event runs twice, as
-// a TEST_P over routing.lp.warm_restart: on, events repair the live LP in
-// place (dual warm restart); off, they drop it and rebuild cold.
+// Topology events repair the live LP in place (dual warm restart); every
+// warm/cold parity check compares against the engine's all-cold run
+// (ScenarioEngineOptions::incremental = false).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -63,22 +63,6 @@ Scenario FailureScenario(const Graph& g, int epochs = 10, int down_at = 3,
   s.AddLinkFlap(g, 0, down_at, up_at);
   return s;
 }
-
-// Parameterized over routing.lp.warm_restart (see the file comment).
-class ScenarioEngineTest : public ::testing::TestWithParam<bool> {
- protected:
-  bool Warm() const { return GetParam(); }
-  LdrControllerOptions ControllerOptions() const {
-    LdrControllerOptions o;
-    o.routing.lp.warm_restart = Warm();
-    return o;
-  }
-  ScenarioEngineOptions Options() const {
-    ScenarioEngineOptions o;
-    o.controller = ControllerOptions();
-    return o;
-  }
-};
 
 bool AnyAllocationCrosses(const RoutingOutcome& outcome, LinkId link) {
   for (const auto& allocation : outcome.allocations) {
@@ -181,11 +165,11 @@ TEST(KspInvalidation, PopTimeGuardCoversUninvalidatedMasks) {
   EXPECT_EQ(gen.GetId(3), kInvalidPathId);
 }
 
-TEST_P(ScenarioEngineTest, StalePathsNeverReachTheLpAfterLinkDown) {
+TEST(ScenarioEngine, StalePathsNeverReachTheLpAfterLinkDown) {
   Topology t = FailoverNet();
   Graph& g = t.graph;
   KspCache cache(&g);
-  LdrController controller(&g, &cache, ControllerOptions());
+  LdrController controller(&g, &cache);
   std::vector<Aggregate> aggs{MakeAgg(0, 1, 3.0), MakeAgg(1, 0, 2.0)};
   std::vector<std::vector<double>> segment{
       std::vector<double>(600, 3.0), std::vector<double>(600, 2.0)};
@@ -200,26 +184,24 @@ TEST_P(ScenarioEngineTest, StalePathsNeverReachTheLpAfterLinkDown) {
   LdrControllerResult r2 = controller.RunEpoch(aggs, segment);
   EXPECT_TRUE(r2.warm_epoch);
 
-  // Fail A->B and B->A. Under warm restarts (the default) the LP is
-  // repaired in place and the epoch re-enters warm via the dual simplex;
-  // without them it rebuilds cold. Either way it must never hand a path
-  // crossing the failed links to the LP.
+  // Fail A->B and B->A. The LP is repaired in place and the epoch
+  // re-enters warm via the dual simplex; it must never hand a path crossing
+  // the failed links to the LP.
   for (LinkId l : {LinkId{0}, LinkId{1}}) {
     g.SetLinkDown(l, true);
     controller.OnLinkDown(l);
   }
   EXPECT_GT(controller.ksp_evictions(), 0u);
   LdrControllerResult r3 = controller.RunEpoch(aggs, segment);
-  EXPECT_EQ(r3.warm_epoch, Warm());
-  EXPECT_EQ(r3.topology_repaired, Warm());
+  EXPECT_TRUE(r3.warm_epoch);
+  EXPECT_TRUE(r3.topology_repaired);
   EXPECT_TRUE(r3.multiplex_ok);
   EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 0));
   EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 1));
   // After a repaired epoch the controller canonicalizes with one cold
-  // rebuild (the parity contract); under the cold baseline the post-event
-  // epoch re-enters warm as before. One epoch later both modes are warm.
+  // rebuild (the parity contract); one epoch later it is warm again.
   LdrControllerResult r4 = controller.RunEpoch(aggs, segment);
-  EXPECT_EQ(r4.warm_epoch, !Warm());
+  EXPECT_FALSE(r4.warm_epoch);
   EXPECT_FALSE(r4.topology_repaired);
   LdrControllerResult r5 = controller.RunEpoch(aggs, segment);
   EXPECT_TRUE(r5.warm_epoch);
@@ -254,26 +236,26 @@ void ExpectReportsIdentical(const ScenarioReport& x, const ScenarioReport& y) {
   EXPECT_EQ(x.ksp_evictions, y.ksp_evictions);
 }
 
-TEST_P(ScenarioEngineTest, ReportsAreThreadCountInvariant) {
+TEST(ScenarioEngine, ReportsAreThreadCountInvariant) {
   // The engine is serial by design; LDR_THREADS must not leak into it.
   Topology t = FailoverNet();
   setenv("LDR_THREADS", "1", 1);
   ScenarioReport r1 =
-      ScenarioEngine(t, FailureScenario(t.graph), Options()).Run();
+      ScenarioEngine(t, FailureScenario(t.graph)).Run();
   setenv("LDR_THREADS", "4", 1);
   ScenarioReport r4 =
-      ScenarioEngine(t, FailureScenario(t.graph), Options()).Run();
+      ScenarioEngine(t, FailureScenario(t.graph)).Run();
   unsetenv("LDR_THREADS");
   ExpectReportsIdentical(r1, r4);
 }
 
-TEST_P(ScenarioEngineTest, WarmEpochsMatchColdEpochsExactly) {
+TEST(ScenarioEngine, WarmEpochsMatchColdEpochsExactly) {
   // incremental=false rebuilds the LP from scratch every epoch; the warm
   // engine must install bitwise-identical placements anyway — warmth may
   // only change solve time.
   Topology t = FailoverNet();
-  ScenarioEngineOptions warm = Options();
-  ScenarioEngineOptions cold = Options();
+  ScenarioEngineOptions warm;
+  ScenarioEngineOptions cold;
   cold.incremental = false;
   ScenarioReport rw = ScenarioEngine(t, FailureScenario(t.graph), warm).Run();
   ScenarioReport rc = ScenarioEngine(t, FailureScenario(t.graph), cold).Run();
@@ -296,19 +278,18 @@ TEST_P(ScenarioEngineTest, WarmEpochsMatchColdEpochsExactly) {
   }
 }
 
-TEST_P(ScenarioEngineTest, DualRepairedEpochsReconvergeToColdHashes) {
-  // fig21-style comparison: the engine under test (dual warm restarts
-  // across the LinkDown/LinkUp events when the parameter is on) against a
-  // baseline configured with warm_restart=false, which drops and rebuilds
-  // the LP cold on every topology delta. The repaired epoch may
-  // legitimately place differently (its path sets are history-dependent);
-  // the canonicalization epoch after it rebuilds cold — so outside the
-  // 2-epoch window [event, event+1] of each event the placement hashes
-  // must match bitwise.
+TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
+  // fig21-style comparison: the default engine (dual warm restarts across
+  // the LinkDown/LinkUp events) against the all-cold run, which rebuilds
+  // the LP before every epoch. The repaired epoch may legitimately place
+  // differently (its path sets are history-dependent); the
+  // canonicalization epoch after it rebuilds cold — so outside the 2-epoch
+  // window [event, event+1] of each event the placement hashes must match
+  // bitwise.
   Topology t = FailoverNet();
-  ScenarioEngineOptions dual = Options();
+  ScenarioEngineOptions dual;
   ScenarioEngineOptions baseline;
-  baseline.controller.routing.lp.warm_restart = false;
+  baseline.incremental = false;
   ScenarioReport rd = ScenarioEngine(t, FailureScenario(t.graph), dual).Run();
   ScenarioReport rb =
       ScenarioEngine(t, FailureScenario(t.graph), baseline).Run();
@@ -322,31 +303,28 @@ TEST_P(ScenarioEngineTest, DualRepairedEpochsReconvergeToColdHashes) {
         << "epoch " << e;
   }
   // The comparison ran what it claims: the engine under test repaired both
-  // events in place exactly when warm restarts are on, the baseline never
-  // did.
-  EXPECT_EQ(rd.dual_repair_epochs, Warm() ? 2u : 0u);
+  // events in place, the baseline never did.
+  EXPECT_EQ(rd.dual_repair_epochs, 2u);
   EXPECT_EQ(rb.dual_repair_epochs, 0u);
   for (const ScenarioEpochReport& er : rd.epochs) {
     EXPECT_TRUE(er.multiplex_ok) << "epoch " << er.epoch;
   }
 }
 
-TEST_P(ScenarioEngineTest, FailureRecoveryTimeline) {
+TEST(ScenarioEngine, FailureRecoveryTimeline) {
   Topology t = FailoverNet();
   Scenario s = FailureScenario(t.graph, /*epochs=*/10, /*down_at=*/3, /*up_at=*/6);
-  ScenarioEngine engine(t, s, Options());
+  ScenarioEngine engine(t, s);
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
 
-  // Epoch 0 cold. Under warm restarts the event epochs (3, 6) are
-  // dual-repaired and the canonicalization epochs after them (4, 7) rebuild
-  // cold; without warm restarts the event epochs are the only other cold
-  // ones. Everything else re-enters warm.
-  const bool wr = Warm();
+  // Epoch 0 cold. The event epochs (3, 6) are dual-repaired and the
+  // canonicalization epochs after them (4, 7) rebuild cold. Everything else
+  // re-enters warm.
   for (const ScenarioEpochReport& er : report.epochs) {
-    bool expect_repair = wr && (er.epoch == 3 || er.epoch == 6);
-    bool expect_warm = er.epoch != 0 && er.epoch != 3 && er.epoch != 6 &&
-                       !(wr && (er.epoch == 4 || er.epoch == 7));
+    bool expect_repair = er.epoch == 3 || er.epoch == 6;
+    bool expect_warm = er.epoch != 0 && !expect_repair && er.epoch != 4 &&
+                       er.epoch != 7;
     EXPECT_EQ(er.warm, expect_warm) << "epoch " << er.epoch;
     EXPECT_EQ(er.dual_repair, expect_repair) << "epoch " << er.epoch;
     EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
@@ -365,20 +343,16 @@ TEST_P(ScenarioEngineTest, FailureRecoveryTimeline) {
     // the -1 never-reconverged sentinel).
     EXPECT_GE(evr.reconverge_ms, 0.0);
   }
-  EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
+  EXPECT_EQ(report.dual_repair_epochs, 2u);
 
   // Route churn: zero on event-free epochs, nonzero exactly when the
   // placement had to move (failure) and when it moved back (recovery).
   EXPECT_EQ(report.EventFreeChurnMax(), 0.0);
   EXPECT_GT(report.epochs[3].route_churn, 0.0);
-  if (wr) {
-    // The repaired LinkUp epoch keeps the (still valid) detour placement —
-    // the in-place LP's path set cannot contain the restored direct path;
-    // the canonicalization rebuild one epoch later moves traffic back.
-    EXPECT_GT(report.epochs[7].route_churn, 0.0);
-  } else {
-    EXPECT_GT(report.epochs[6].route_churn, 0.0);
-  }
+  // The repaired LinkUp epoch keeps the (still valid) detour placement —
+  // the in-place LP's path set cannot contain the restored direct path;
+  // the canonicalization rebuild one epoch later moves traffic back.
+  EXPECT_GT(report.epochs[7].route_churn, 0.0);
 
   // The failure evicted the (A,B)/(B,A) generators through the reverse
   // index.
@@ -450,11 +424,11 @@ TEST(KspInvalidation, GroupedInvalidationCountsEachGeneratorOnce) {
   }
 }
 
-TEST_P(ScenarioEngineTest, SrlgOutageMasksAllMembersAtomically) {
+TEST(ScenarioEngine, SrlgOutageMasksAllMembersAtomically) {
   // An SRLG over the A-C and C-B cables takes the whole detour in one
   // event: during the outage only the direct A-B cable can carry A<->B
   // traffic, and the event must land as ONE batched delta (one dual-repair
-  // epoch under warm restarts, not one per member link).
+  // epoch, not one per member link).
   Topology t = FailoverNet();
   Scenario s;
   s.name = "srlg-conduit";
@@ -464,19 +438,18 @@ TEST_P(ScenarioEngineTest, SrlgOutageMasksAllMembersAtomically) {
   int srlg = s.AddSrlg("detour-conduit", {2, 4});  // A-C and C-B cables
   s.AddSrlgOutage(srlg, 3, 6);
 
-  ScenarioEngine engine(t, s, Options());
+  ScenarioEngine engine(t, s);
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
-  const bool wr = Warm();
   for (const ScenarioEpochReport& er : report.epochs) {
     EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
     // One grouped delta: exactly the event epochs are dual-repaired.
-    EXPECT_EQ(er.dual_repair, wr && (er.epoch == 3 || er.epoch == 6));
+    EXPECT_EQ(er.dual_repair, er.epoch == 3 || er.epoch == 6);
     EXPECT_TRUE(er.placement_valid) << "epoch " << er.epoch;
     // The direct cable has room for both aggregates.
     EXPECT_EQ(er.congested_fraction, 0.0) << "epoch " << er.epoch;
   }
-  EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
+  EXPECT_EQ(report.dual_repair_epochs, 2u);
   // Down + up, each applied once, each reconverged.
   ASSERT_EQ(report.events.size(), 2u);
   EXPECT_EQ(report.events[0].event.type, ScenarioEvent::Type::kSrlgDown);
@@ -488,7 +461,7 @@ TEST_P(ScenarioEngineTest, SrlgOutageMasksAllMembersAtomically) {
   EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
 }
 
-TEST_P(ScenarioEngineTest, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
+TEST(ScenarioEngine, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
   // Node C fails while one of its incident links (A->C) is already masked
   // by an earlier singleton event: the grouped apply must mask the LIVE
   // subset (partial redundancy — the overlap is reported, not grounds to
@@ -507,7 +480,7 @@ TEST_P(ScenarioEngineTest, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
   s.events.push_back(pre);
   s.AddNodeOutage(2, 3, 6);  // node C: links 2,3,4,5,6,7
 
-  ScenarioEngine engine(t, s, Options());
+  ScenarioEngine engine(t, s);
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
   // The node-down group is 6 links, of which A->C is already masked: one
@@ -528,7 +501,7 @@ TEST_P(ScenarioEngineTest, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
   EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
 }
 
-TEST_P(ScenarioEngineTest, MaintenanceDrainsOneEpochBeforeTheWindow) {
+TEST(ScenarioEngine, MaintenanceDrainsOneEpochBeforeTheWindow) {
   // A maintenance window on the direct A-B cable, nominally [4, 6): the
   // mask must land at the drain epoch 3 — the controller's scheduled head
   // start — and lift at 6. A second window whose restore lands past the
@@ -546,7 +519,7 @@ TEST_P(ScenarioEngineTest, MaintenanceDrainsOneEpochBeforeTheWindow) {
   mw.duration_epochs = 2;
   s.events.push_back(mw);
 
-  ScenarioEngine engine(t, s, Options());
+  ScenarioEngine engine(t, s);
   ScenarioReport report = engine.Run();
   ASSERT_EQ(report.epochs.size(), 10u);
   for (const ScenarioEpochReport& er : report.epochs) {
@@ -568,13 +541,13 @@ TEST_P(ScenarioEngineTest, MaintenanceDrainsOneEpochBeforeTheWindow) {
   Scenario open_ended = s;
   open_ended.events[0].epoch = 8;
   open_ended.events[0].duration_epochs = 5;  // restore at 13 > last epoch
-  ScenarioEngine engine2(t, open_ended, Options());
+  ScenarioEngine engine2(t, open_ended);
   ScenarioReport r2 = engine2.Run();
   EXPECT_TRUE(r2.epochs[7].event_epoch);
   EXPECT_EQ(engine2.graph().DownLinkCount(), 2u);  // both directions masked
 }
 
-TEST_P(ScenarioEngineTest, SrlgPartialFailpointKeepsTheLivePrefix) {
+TEST(ScenarioEngine, SrlgPartialFailpointKeepsTheLivePrefix) {
   // The scenario.srlg_partial failpoint models a correlated event arriving
   // truncated: only the first half (rounded up) of the live subset is
   // applied, the rest is counted dropped. Down group {2,3,4,5} -> 2 masked,
@@ -590,7 +563,7 @@ TEST_P(ScenarioEngineTest, SrlgPartialFailpointKeepsTheLivePrefix) {
   s.AddSrlgOutage(srlg, 3, 6);
 
   util::Failpoint::Activate("scenario.srlg_partial");
-  ScenarioEngine engine(t, s, Options());
+  ScenarioEngine engine(t, s);
   ScenarioReport report = engine.Run();
   util::Failpoint::Deactivate("scenario.srlg_partial");
 
@@ -605,10 +578,10 @@ TEST_P(ScenarioEngineTest, SrlgPartialFailpointKeepsTheLivePrefix) {
   }
 }
 
-TEST_P(ScenarioEngineTest, GroupedEventDualRepairReconvergesToColdArm) {
+TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
   // The DualRepairedEpochsReconvergeToColdHashes contract for a GROUPED
   // delta: an SRLG cut repaired in place via one dual warm restart must
-  // place bitwise like the warm_restart=false baseline outside the 2-epoch
+  // place bitwise like the all-cold run outside the 2-epoch
   // [event, event+1] canonicalization windows.
   Topology t = FailoverNet();
   auto make_scenario = [&]() {
@@ -623,9 +596,9 @@ TEST_P(ScenarioEngineTest, GroupedEventDualRepairReconvergesToColdArm) {
     s.AddSrlgOutage(srlg, 3, 6);
     return s;
   };
-  ScenarioEngineOptions dual = Options();
+  ScenarioEngineOptions dual;
   ScenarioEngineOptions baseline;
-  baseline.controller.routing.lp.warm_restart = false;
+  baseline.incremental = false;
   ScenarioReport rd = ScenarioEngine(t, make_scenario(), dual).Run();
   ScenarioReport rb = ScenarioEngine(t, make_scenario(), baseline).Run();
   ASSERT_EQ(rd.epochs.size(), rb.epochs.size());
@@ -637,7 +610,7 @@ TEST_P(ScenarioEngineTest, GroupedEventDualRepairReconvergesToColdArm) {
     EXPECT_EQ(rd.epochs[e].allocation_hash, rb.epochs[e].allocation_hash)
         << "epoch " << e;
   }
-  EXPECT_EQ(rd.dual_repair_epochs, Warm() ? 2u : 0u);
+  EXPECT_EQ(rd.dual_repair_epochs, 2u);
   EXPECT_EQ(rb.dual_repair_epochs, 0u);
   EXPECT_TRUE(PlacementParity(rd, rb));
 }
@@ -662,12 +635,6 @@ TEST(ScenarioEngine, SchemeDriversSurviveFailures) {
     EXPECT_GT(report.epochs[3].route_churn, 0.0) << id;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    WarmRestart, ScenarioEngineTest, ::testing::Bool(),
-    [](const ::testing::TestParamInfo<bool>& param) {
-      return param.param ? "Warm" : "Cold";
-    });
 
 }  // namespace
 }  // namespace ldr

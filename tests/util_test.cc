@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include "util/random.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace ldr {
 namespace {
@@ -183,6 +185,21 @@ TEST(Cdf, PlotPointsMonotone) {
     EXPECT_LE(pts[i - 1].second, pts[i].second);
   }
   EXPECT_DOUBLE_EQ(pts.back().second, 1.0);
+}
+
+// LDR_THREADS comes from outside the program: an oversized request is
+// clamped before it can size a pool. Only the count is checked — no pool
+// of the requested size is ever built.
+TEST(ThreadCount, LdrThreadsIsClampedToTheCeiling) {
+  setenv("LDR_THREADS", "1000000", 1);
+  EXPECT_EQ(DefaultThreadCount(), kMaxThreads);
+  setenv("LDR_THREADS", "99999999999999999999", 1);  // strtol saturates
+  EXPECT_EQ(DefaultThreadCount(), kMaxThreads);
+  setenv("LDR_THREADS", "256", 1);
+  EXPECT_EQ(DefaultThreadCount(), 256u);
+  setenv("LDR_THREADS", "3", 1);
+  EXPECT_EQ(DefaultThreadCount(), 3u);
+  unsetenv("LDR_THREADS");
 }
 
 }  // namespace

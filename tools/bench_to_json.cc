@@ -16,8 +16,8 @@
 // Sections:
 //   lp_resolve        one Fig. 13 growth round on a routing-shaped LP:
 //                     warm AddColumn+re-solve vs cold rebuild-and-solve
-//   iterative_loop    the full IterativeLpRoute path-growth loop, warm
-//                     (incremental solver across rounds) vs cold
+//   iterative_loop    the full IterativeLpRoute path-growth loop (one
+//                     incremental solver across the rounds)
 //   thread_scaling    RunTopology over a bench-corpus slice with
 //                     LDR_THREADS=1 vs LDR_THREADS=4 (speedup is meaningless
 //                     on a 1-core container; see invalid_single_core)
@@ -54,8 +54,8 @@
 //                     solver.
 //   scenario          the fig21 failure/recovery timeline driven by the
 //                     ScenarioEngine on a zoo topology: per-epoch LDR solve
-//                     medians warm (persistent LP across epochs) vs cold
-//                     (LP dropped before every epoch), route churn on
+//                     medians warm (persistent LP across epochs) vs the
+//                     all-cold run, route churn on
 //                     event-free epochs (must be 0), reconvergence epochs
 //                     after the LinkDown/LinkUp events, and the bitwise
 //                     warm/cold placement parity flag. Timings carry the
@@ -210,7 +210,9 @@ WarmCold BenchLpResolve(int aggregates, int links, int reps, KktTally* kkt) {
 
 // --- iterative_loop ---------------------------------------------------------
 
-WarmCold BenchIterativeLoop(int side, int reps) {
+// Median wall clock of the Fig. 13 loop on a loaded grid, KSP cache warmed
+// first so the timing isolates LP work.
+double BenchIterativeLoop(int side, int reps) {
   Rng rng(5);
   Topology t = MakeGrid("bench-grid", side, side, 0.3, 0.0, EuropeRegion(),
                         &rng, {100, 40, 0.3});
@@ -223,28 +225,13 @@ WarmCold BenchIterativeLoop(int side, int reps) {
   IterativeOptions opts;
   IterativeLpRoute(t.graph, aggs, &cache, opts);  // warm the KSP cache
 
-  WarmCold wc;
-  std::vector<double> warm, cold;
+  std::vector<double> samples;
   for (int r = 0; r < reps; ++r) {
-    opts.incremental = true;
     double t0 = NowMs();
-    RoutingOutcome ow = IterativeLpRoute(t.graph, aggs, &cache, opts);
-    warm.push_back(NowMs() - t0);
-
-    opts.incremental = false;
-    t0 = NowMs();
-    RoutingOutcome oc = IterativeLpRoute(t.graph, aggs, &cache, opts);
-    cold.push_back(NowMs() - t0);
-
-    if (std::abs(ow.max_level - oc.max_level) > 1e-5) {
-      std::fprintf(stderr,
-                   "bench_to_json: warm/cold max_level mismatch (%g vs %g)\n",
-                   ow.max_level, oc.max_level);
-    }
+    IterativeLpRoute(t.graph, aggs, &cache, opts);
+    samples.push_back(NowMs() - t0);
   }
-  wc.warm_ms = MedianMs(warm);
-  wc.cold_ms = MedianMs(cold);
-  return wc;
+  return MedianMs(samples);
 }
 
 // --- thread_scaling ---------------------------------------------------------
@@ -496,6 +483,27 @@ void CertifyFixtureRoutingLps(KktTally* kkt) {
   }
 }
 
+// --- fig21 runs shared by scenario and lp_dual ------------------------------
+
+// The fig21 fixture (bench/failure_scenario.h — one definition shared with
+// the figure bench, so the JSON records the same experiment it plots), run
+// by the default engine and all-cold (the LP dropped before every epoch).
+// Every warm/cold comparison below reads these two runs.
+struct Fig21Runs {
+  ScenarioReport warm;
+  ScenarioReport cold;
+};
+
+Fig21Runs RunFig21() {
+  Fig21Runs runs;
+  bench::FailureTimelineFixture fixture = bench::MakeFailureTimeline();
+  runs.warm = ScenarioEngine(fixture.zoo, fixture.scenario).Run();
+  ScenarioEngineOptions cold_opts;
+  cold_opts.incremental = false;
+  runs.cold = ScenarioEngine(fixture.zoo, fixture.scenario, cold_opts).Run();
+  return runs;
+}
+
 // --- scenario ---------------------------------------------------------------
 
 struct ScenarioBench {
@@ -513,23 +521,13 @@ struct ScenarioBench {
   }
 };
 
-// The fig21 fixture (bench/failure_scenario.h — one definition shared with
-// the figure bench, so the JSON records the same experiment it plots), run
-// once with the persistent warm LP and once with the LP dropped before
-// every epoch.
-ScenarioBench BenchScenario() {
+// Epoch solve medians, churn, reconvergence and bitwise placement parity of
+// the warm run against the all-cold one.
+ScenarioBench BenchScenario(const Fig21Runs& runs) {
   ScenarioBench out;
-  bench::FailureTimelineFixture fixture = bench::MakeFailureTimeline();
-
-  ScenarioEngineOptions warm_opts;
-  ScenarioReport warm =
-      ScenarioEngine(fixture.zoo, fixture.scenario, warm_opts).Run();
-  ScenarioEngineOptions cold_opts;
-  cold_opts.incremental = false;
-  ScenarioReport cold =
-      ScenarioEngine(fixture.zoo, fixture.scenario, cold_opts).Run();
-
-  out.epochs = fixture.scenario.epochs;
+  const ScenarioReport& warm = runs.warm;
+  const ScenarioReport& cold = runs.cold;
+  out.epochs = static_cast<int>(warm.epochs.size());
   out.warm_epochs = warm.warm_epochs;
   out.warm_median_ms = warm.WarmSolveMsMedian();
   out.cold_median_ms = cold.ColdSolveMsMedian();
@@ -764,7 +762,7 @@ struct LpDualBench {
   long bound_flips = 0;
   long warm_restart_solves = 0;
   // Per event: the wall clock from the event to the regained clean
-  // placement, under each A/B arm.
+  // placement, in the warm and the all-cold run.
   std::vector<double> dual_reconverge_ms;
   std::vector<double> cold_reconverge_ms;
   bool warm_restart_parity = false;
@@ -775,29 +773,21 @@ struct LpDualBench {
   }
 };
 
-// The fig21 fixture again (same single definition), A/B-ing the PR 9 dual
-// warm restart against the drop-and-rebuild baseline: the default engine
+// The dual warm restart against the all-cold run: the default engine
 // repairs the LP in place on the cable flap's LinkDown/LinkUp and re-enters
-// via dual simplex; the baseline configures warm_restart = false, so every
-// topology delta rebuilds the LP cold (the PR 4 behavior). The
-// warm_restart_parity marker — gated by ci.sh --bench-smoke — requires the
-// two runs' placement hashes to be bitwise equal outside the two-epoch
-// window [event, event+1] of every event: the dual-repaired epoch may place
-// differently (history-dependent path sets), the canonicalization epoch
-// after it rebuilds cold and must realign.
-LpDualBench BenchLpDual() {
+// via dual simplex; the all-cold run rebuilds the LP at every epoch, so its
+// event epochs are cold rebuilds. The warm_restart_parity marker — gated by
+// ci.sh --bench-smoke — requires at least one dual-repaired epoch (so it
+// cannot pass without exercising the repair) and the two runs' placement
+// hashes bitwise equal outside the two-epoch window [event, event+1] of
+// every event: the dual-repaired epoch may place differently
+// (history-dependent path sets), the canonicalization epoch after it
+// rebuilds cold and must realign.
+LpDualBench BenchLpDual(const Fig21Runs& runs) {
   LpDualBench out;
-  bench::FailureTimelineFixture fixture = bench::MakeFailureTimeline();
-
-  ScenarioEngineOptions dual_opts;  // routing default: warm_restart on
-  ScenarioReport dual =
-      ScenarioEngine(fixture.zoo, fixture.scenario, dual_opts).Run();
-  ScenarioEngineOptions cold_opts;
-  cold_opts.controller.routing.lp.warm_restart = false;
-  ScenarioReport cold =
-      ScenarioEngine(fixture.zoo, fixture.scenario, cold_opts).Run();
-
-  out.epochs = fixture.scenario.epochs;
+  const ScenarioReport& dual = runs.warm;
+  const ScenarioReport& cold = runs.cold;
+  out.epochs = static_cast<int>(dual.epochs.size());
   out.dual_repair_epochs = dual.dual_repair_epochs;
   std::vector<double> dual_ms, cold_ms;
   std::set<size_t> exempt;  // the 2-epoch parity window of each event
@@ -815,7 +805,8 @@ LpDualBench BenchLpDual() {
   if (!dual_ms.empty()) out.dual_event_median_ms = MedianMs(dual_ms);
   if (!cold_ms.empty()) out.cold_event_median_ms = MedianMs(cold_ms);
 
-  bool parity = !dual.epochs.empty() && dual.epochs.size() == cold.epochs.size();
+  bool parity = out.dual_repair_epochs > 0 &&
+                dual.epochs.size() == cold.epochs.size();
   for (size_t e = 0; e < dual.epochs.size() && parity; ++e) {
     if (exempt.count(e) != 0) continue;
     parity = dual.epochs[e].allocation_hash == cold.epochs[e].allocation_hash;
@@ -823,8 +814,9 @@ LpDualBench BenchLpDual() {
   out.warm_restart_parity = parity;
   if (!out.warm_restart_parity) {
     std::fprintf(stderr,
-                 "bench_to_json: dual-restart/cold placement mismatch "
-                 "outside the per-event canonicalization windows\n");
+                 "bench_to_json: no dual-repaired epoch, or dual-restart/cold "
+                 "placement mismatch outside the per-event canonicalization "
+                 "windows\n");
   }
   for (const ScenarioEventReport& evr : dual.events) {
     out.dual_reconverge_ms.push_back(evr.reconverge_ms);
@@ -854,11 +846,11 @@ int main(int argc, char** argv) {
   WarmCold resolve_small = BenchLpResolve(50, 25, smoke ? 3 : 7, &kkt);
   WarmCold resolve_large = BenchLpResolve(150, 75, smoke ? 1 : 3, &kkt);
 
-  WarmCold loop_small, loop_large;
+  double loop_small_ms = 0, loop_large_ms = 0;
   if (!smoke) {
     std::fprintf(stderr, "bench_to_json: iterative_loop...\n");
-    loop_small = BenchIterativeLoop(4, 5);
-    loop_large = BenchIterativeLoop(6, 3);
+    loop_small_ms = BenchIterativeLoop(4, 5);
+    loop_large_ms = BenchIterativeLoop(6, 3);
   }
 
   std::fprintf(stderr, "bench_to_json: lp_revised...\n");
@@ -895,18 +887,17 @@ int main(int argc, char** argv) {
                  kkt.certified, kkt.solves);
   }
 
-  std::fprintf(stderr, "bench_to_json: scenario...\n");
-  ScenarioBench scenario = BenchScenario();
+  // Cheap (two 12-epoch runs) and correctness-gated (placement_parity,
+  // warm_restart_parity), so it runs in smoke mode too.
+  std::fprintf(stderr, "bench_to_json: scenario + lp_dual...\n");
+  Fig21Runs fig21 = RunFig21();
+  ScenarioBench scenario = BenchScenario(fig21);
+  LpDualBench lp_dual = BenchLpDual(fig21);
 
   // Cheap (two 12-epoch runs) and a correctness gate, so it runs in smoke
   // mode too — ci.sh --bench-smoke greps its recovery_parity marker.
   std::fprintf(stderr, "bench_to_json: degradation...\n");
   DegradationBench degradation = BenchDegradation();
-
-  // Also cheap (two more 12-epoch runs) and a correctness gate
-  // (warm_restart_parity), so it runs in smoke mode too.
-  std::fprintf(stderr, "bench_to_json: lp_dual...\n");
-  LpDualBench lp_dual = BenchLpDual();
 
   // Correctness-gated too (valid_every_epoch, survivability_parity): smoke
   // mode runs the reduced slice rather than skipping the section.
@@ -947,8 +938,10 @@ int main(int argc, char** argv) {
   };
   emit_wc("lp_resolve_small", resolve_small, true);
   emit_wc("lp_resolve_large", resolve_large, true);
-  emit_wc("iterative_loop_small", loop_small, true);
-  emit_wc("iterative_loop_large", loop_large, true);
+  std::fprintf(f,
+               "  \"iterative_loop_small\": {\"warm_ms\": %.3f},\n"
+               "  \"iterative_loop_large\": {\"warm_ms\": %.3f},\n",
+               loop_small_ms, loop_large_ms);
   // A 1-core container cannot exhibit thread scaling: the measured ~1.0
   // "speedup" is pure scheduling noise, so mark it invalid instead of
   // letting it masquerade as a regression baseline.
@@ -1118,7 +1111,7 @@ int main(int argc, char** argv) {
       "lp_revised    resolve_large %.3f ms  shape_partial %.3f ms  basis %zu B  "
       "parity %s\n"
       "lp_lu         largest m=%zu  %.1f ms / %zu B  fill %.2f\n"
-      "iterative     warm %.3f ms  cold %.3f ms  speedup %.1fx\n"
+      "iterative     %.3f ms\n"
       "threads 1->4  %.1f ms -> %.1f ms  speedup %.2fx\n"
       "path_store    %llu allocation refs -> %llu unique paths  "
       "hit rate %.1f%%\n"
@@ -1137,7 +1130,7 @@ int main(int argc, char** argv) {
       revised_shapes.basis_bytes, revised_parity ? "yes" : "NO",
       lu_sweep.back().rows, lu_sweep.back().lu_ms,
       lu_sweep.back().lu_basis_bytes, lu_sweep.back().fill_ratio,
-      loop_large.warm_ms, loop_large.cold_ms, loop_large.speedup(), t1, t4,
+      loop_large_ms, t1, t4,
       t4 > 0 ? t1 / t4 : 0,
       static_cast<unsigned long long>(allocation_refs),
       static_cast<unsigned long long>(unique_paths), hit_rate * 100,
