@@ -40,6 +40,8 @@
 #                all-cold run within 2 epochs of each event), survivability
 #                survivability_parity (replaying a failure campaign from its
 #                seed installs bitwise-identical placements) — is false.
+#                The JSON's lp_stats object (the merged lp::SolveStats
+#                counters of the answers kkt certifies) is not gated.
 #                Then run `python3 perfbench/run.py --self-check`: the
 #                end-to-end benchmark compiles src/ on its own (into the
 #                gitignored .bench_build) and reads src types by field name,

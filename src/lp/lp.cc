@@ -260,32 +260,25 @@ class Solver::Impl {
 
   Solution Solve() {
     Solution sol = SolveImpl();
-    sol.columns_priced = columns_priced_;
-    sol.pivot_recoveries = pivot_recoveries_;
-    sol.ftran_nnz = ftran_nnz_;
-    sol.pivots = pivots_;
-    sol.refactorizations = refactorizations_;
-    sol.dual_pivots = dual_pivots_;
-    sol.bound_flips = bound_flips_;
-    sol.warm_restart = warm_restart_used_;
+    sol.stats = stats_;
+    sol.stats.lp_iterations = iter_;
     // Resident factorized footprint: the L/U arrays, the pivot sequence,
     // and the update file — everything FTRAN/BTRAN touch.
-    sol.basis_bytes = prow_.capacity() * sizeof(int) +
-                      pcol_.capacity() * sizeof(int) +
-                      upiv_.capacity() * sizeof(double) +
-                      l_start_.capacity() * sizeof(int) +
-                      l_dst_.capacity() * sizeof(int) +
-                      l_mult_.capacity() * sizeof(double) +
-                      u_start_.capacity() * sizeof(int) +
-                      u_ent_.capacity() * sizeof(std::pair<int, double>) +
-                      file_.capacity() * sizeof(FileOp) +
-                      file_ent_.capacity() * sizeof(std::pair<int, double>);
-    sol.lu_nnz = lu_nnz_;
-    sol.eta_count = static_cast<int>(file_.size());
-    sol.fill_ratio = lu_fill_base_ > 0
-                         ? static_cast<double>(lu_nnz_) /
-                               static_cast<double>(lu_fill_base_)
-                         : 0.0;
+    sol.stats.lp_basis_bytes =
+        prow_.capacity() * sizeof(int) + pcol_.capacity() * sizeof(int) +
+        upiv_.capacity() * sizeof(double) +
+        l_start_.capacity() * sizeof(int) + l_dst_.capacity() * sizeof(int) +
+        l_mult_.capacity() * sizeof(double) +
+        u_start_.capacity() * sizeof(int) +
+        u_ent_.capacity() * sizeof(std::pair<int, double>) +
+        file_.capacity() * sizeof(FileOp) +
+        file_ent_.capacity() * sizeof(std::pair<int, double>);
+    sol.stats.lp_lu_nnz = lu_nnz_;
+    sol.stats.lp_eta_count = static_cast<int>(file_.size());
+    sol.stats.lp_fill_ratio = lu_fill_base_ > 0
+                                  ? static_cast<double>(lu_nnz_) /
+                                        static_cast<double>(lu_fill_base_)
+                                  : 0.0;
     return sol;
   }
 
@@ -308,14 +301,7 @@ class Solver::Impl {
   Solution SolveImpl() {
     Solution sol;
     iter_ = 0;
-    columns_priced_ = 0;
-    pivot_recoveries_ = 0;
-    ftran_nnz_ = 0;
-    pivots_ = 0;
-    refactorizations_ = 0;
-    dual_pivots_ = 0;
-    bound_flips_ = 0;
-    warm_restart_used_ = false;
+    stats_ = {};
     // Mutations between Solve() calls (AddColumn/AddRow/AddToRow/SetRhs/
     // AddToObjective) are not tracked against the duals; rebuilding them
     // lazily once per Solve (one BTRAN) is cheap and bounds inter-call
@@ -328,7 +314,7 @@ class Solver::Impl {
 
     // Reject inconsistent bounds up-front.
     for (size_t j = 0; j < n_; ++j) {
-      if (lo_[j] > hi_[j] + opt_.tol) {
+      if (lo_[j] > hi_[j] + kTol) {
         sol.status = Status::kInfeasible;
         return sol;
       }
@@ -405,7 +391,7 @@ class Solver::Impl {
         dual_ok = DualFeasible();
       }
       if (dual_ok) {
-        warm_restart_used_ = true;
+        stats_.lp_warm_restart = 1;
         int stall = 0;
         double prev_infeas = kInfinity;
         while (iter_ < limit && stall <= kBlandThreshold) {
@@ -428,7 +414,6 @@ class Solver::Impl {
         }
         if (deadline_hit_) {
           sol.status = Status::kDeadline;
-          sol.iterations = iter_;
           return sol;
         }
       }
@@ -444,13 +429,11 @@ class Solver::Impl {
       if (!Iterate(/*phase1=*/true, &degenerate_run)) {
         sol.status =
             deadline_hit_ ? Status::kDeadline : Status::kInfeasible;
-        sol.iterations = iter_;
         return sol;
       }
     }
     if (HasInfeasibleBasic()) {
       sol.status = iter_ >= limit ? Status::kIterLimit : Status::kInfeasible;
-      sol.iterations = iter_;
       return sol;
     }
 
@@ -470,7 +453,6 @@ class Solver::Impl {
       StepResult r = Step(entering, d_enter, /*phase1=*/false, &degenerate_run);
       if (r == StepResult::kUnbounded) {
         sol.status = Status::kUnbounded;
-        sol.iterations = iter_;
         return sol;
       }
       if (r == StepResult::kStuck) {
@@ -479,7 +461,6 @@ class Solver::Impl {
         // callers rebuild from scratch or walk the fallback ladder on
         // !ok().
         sol.status = deadline_hit_ ? Status::kDeadline : Status::kIterLimit;
-        sol.iterations = iter_;
         return sol;
       }
       // Feasibility must be preserved in phase 2; if numerics broke it,
@@ -493,7 +474,6 @@ class Solver::Impl {
           if (!Iterate(true, &degenerate_run)) {
             sol.status =
                 deadline_hit_ ? Status::kDeadline : Status::kInfeasible;
-            sol.iterations = iter_;
             return sol;
           }
         }
@@ -501,7 +481,6 @@ class Solver::Impl {
     }
     if (iter_ >= limit && sol.status != Status::kOptimal) {
       sol.status = Status::kIterLimit;
-      sol.iterations = iter_;
       return sol;
     }
 
@@ -517,7 +496,6 @@ class Solver::Impl {
     }
     sol.objective = 0;
     for (size_t j = 0; j < n_; ++j) sol.objective += cost_[j] * sol.values[j];
-    sol.iterations = iter_;
     return sol;
   }
 
@@ -525,6 +503,9 @@ class Solver::Impl {
   static constexpr int kBlandThreshold = 60;
   static constexpr long kMinAutoRefactorInterval = 256;
   static constexpr double kMinPivot = 1e-12;
+  // Primal/dual feasibility tolerance, relative to the magnitude of the
+  // value tested (see BasicViolated).
+  static constexpr double kTol = 1e-7;
   // Ratio-test tie handling: the most any basic variable may be pushed past
   // its bound (in value, not step length) to let a larger pivot win a tie.
   static constexpr double kTieTol = 1e-9;
@@ -557,10 +538,10 @@ class Solver::Impl {
     luw_.assign(m_, 0.0);
     if (ref < 0) {
       luw_[static_cast<size_t>(~ref)] = 1.0;
-      ++ftran_nnz_;
+      ++stats_.lp_ftran_nnz;
     } else {
       const auto& col = acol_[static_cast<size_t>(ref)];
-      ftran_nnz_ += static_cast<long>(col.size());
+      stats_.lp_ftran_nnz += static_cast<long>(col.size());
       for (const auto& [r, c] : col) luw_[static_cast<size_t>(r)] += c;
     }
     LuFtran(&luw_, &ftran_);
@@ -756,7 +737,7 @@ class Solver::Impl {
   bool BasicViolated(size_t row) const {
     int b = basis_[row];
     double lo = LoOf(b), hi = HiOf(b);
-    double t = opt_.tol * (1.0 + std::abs(xb_[row]));
+    double t = kTol * (1.0 + std::abs(xb_[row]));
     return xb_[row] < lo - t || xb_[row] > hi + t;
   }
 
@@ -776,7 +757,7 @@ class Solver::Impl {
     for (size_t i = 0; i < m_; ++i) {
       int b = basis_[i];
       double lo = LoOf(b), hi = HiOf(b);
-      double t = opt_.tol * (1.0 + std::abs(xb_[i]));
+      double t = kTol * (1.0 + std::abs(xb_[i]));
       double v = 0.0;
       if (xb_[i] < lo - t) {
         v = lo - xb_[i];
@@ -817,7 +798,7 @@ class Solver::Impl {
       int ref = RefAt(p);
       if (BasicRowOf(ref) >= 0) continue;
       double d = ReducedCost(/*phase1=*/false, ref);
-      if (EnteringScore(ref, d) > opt_.tol) return false;
+      if (EnteringScore(ref, d) > kTol) return false;
     }
     return true;
   }
@@ -879,7 +860,7 @@ class Solver::Impl {
   // Reduced cost of one nonbasic ref against the *sparse original* column
   // (a slack's column is e_k): O(nnz) per column, independent of m.
   double ReducedCost(bool phase1, int ref) {
-    ++columns_priced_;
+    ++stats_.lp_columns_priced;
     if (phase1) {
       if (ref < 0) return -y1_[static_cast<size_t>(~ref)];
       double acc = 0;
@@ -944,7 +925,7 @@ class Solver::Impl {
         int ref = RefAt(p);
         if (IsBasic(ref)) continue;
         double d = ReducedCost(phase1, ref);
-        if (EnteringScore(ref, d) > opt_.tol) {
+        if (EnteringScore(ref, d) > kTol) {
           *entering = ref;
           *d_enter = d;
           return true;
@@ -955,13 +936,13 @@ class Solver::Impl {
 
     // Partial pricing. 1: re-price the surviving candidates.
     bool found = false;
-    double best = opt_.tol;
+    double best = kTol;
     size_t w = 0;
     for (int ref : cand_) {
       if (IsBasic(ref)) continue;  // entered the basis since; drop
       double d = ReducedCost(phase1, ref);
       double score = EnteringScore(ref, d);
-      if (score <= opt_.tol) continue;  // no longer improving; drop
+      if (score <= kTol) continue;  // no longer improving; drop
       cand_[w++] = ref;
       if (score > best) {
         best = score;
@@ -987,7 +968,7 @@ class Solver::Impl {
         if (IsBasic(ref)) continue;
         double d = ReducedCost(phase1, ref);
         double score = EnteringScore(ref, d);
-        if (score > opt_.tol) fresh_.push_back({score, ref, d});
+        if (score > kTol) fresh_.push_back({score, ref, d});
       }
       scanned += chunk;
       if (!fresh_.empty()) break;
@@ -1037,7 +1018,7 @@ class Solver::Impl {
     double pivot = ftran_[r];
     if (!(std::abs(pivot) > kMinPivot)) return false;
     ++updates_since_refactor_;
-    ++pivots_;
+    ++stats_.lp_pivots;
     FileOp op;
     op.kind = FileOp::kEta;
     op.pos = static_cast<int>(r);
@@ -1051,6 +1032,40 @@ class Solver::Impl {
     op.end = static_cast<int>(file_ent_.size());
     file_.push_back(op);
     return true;
+  }
+
+  // The basis change of a pivot at row r, after RawPivot(r) appended its
+  // eta: the leaving variable rests at the bound it was pinned to (a fixed
+  // variable at its lower bound), the entering one takes row r with value
+  // `entering_value`.
+  void SwapBasis(size_t r, double leave_bound, int entering,
+                 double entering_value) {
+    int leaving = basis_[r];
+    StateOf(leaving) = (leave_bound == LoOf(leaving)) ? VarState::kAtLower
+                                                      : VarState::kAtUpper;
+    if (LoOf(leaving) == HiOf(leaving)) StateOf(leaving) = VarState::kAtLower;
+    if (leaving >= 0) value_[static_cast<size_t>(leaving)] = leave_bound;
+    BasicRowOf(leaving) = -1;
+    xb_[r] = entering_value;
+    basis_[r] = entering;
+    StateOf(entering) = VarState::kBasic;
+    BasicRowOf(entering) = static_cast<int>(r);
+  }
+
+  // Forced-refactorization exit of Step/DualStep: re-establish the
+  // factorization from the exact sparse columns; the caller re-prices
+  // (kRecovered) unless the basis could not be re-established (kStuck).
+  StepResult ForceRefactorize() {
+    factor_valid_ = false;
+    Refactorize();
+    return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+  }
+
+  // The same exit after a numerically-zero or poisoned pivot, counted as a
+  // pivot recovery.
+  StepResult RecoverPivot() {
+    ++stats_.lp_pivot_recoveries;
+    return ForceRefactorize();
   }
 
   StepResult Step(int entering, double d_enter, bool phase1,
@@ -1068,9 +1083,7 @@ class Solver::Impl {
     // refactor_interval < 0 disables it along with the drift guard (the
     // file then grows with the pivot count but stays exact).
     if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+      return ForceRefactorize();
     }
     ++iter_;
     VarState est = StateOf(entering);
@@ -1108,10 +1121,7 @@ class Solver::Impl {
     // numerically-zero pivot.
     for (size_t i = 0; i < m_; ++i) {
       if (!std::isfinite(ftran_[i])) {
-        ++pivot_recoveries_;
-        factor_valid_ = false;
-        Refactorize();
-        return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+        return RecoverPivot();
       }
     }
     const double* ecol = ftran_.data();
@@ -1233,10 +1243,7 @@ class Solver::Impl {
       // factorization drift. Refactorize from the exact sparse columns and
       // let the caller re-price against the fresh factorization instead of
       // poisoning the basis.
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+      return RecoverPivot();
     }
 
     if (t_max <= 1e-12) {
@@ -1259,31 +1266,19 @@ class Solver::Impl {
       // guaranteed structural here.
       value_[static_cast<size_t>(entering)] = new_q_value;
       StateOf(entering) = (dir > 0) ? VarState::kAtUpper : VarState::kAtLower;
-      ++bound_flips_;
+      ++stats_.lp_bound_flips;
       return StepResult::kBoundFlip;
     }
 
     // Pivot: entering becomes basic in leave_row; leaving variable goes to
     // the bound it hit.
     size_t r = static_cast<size_t>(leave_row);
-    int leaving = basis_[r];
     if (!RawPivot(r)) {
       // Unreachable given the pre-check above, but never corrupt state.
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+      return RecoverPivot();
     }
 
-    StateOf(leaving) = (leave_bound == LoOf(leaving)) ? VarState::kAtLower
-                                                      : VarState::kAtUpper;
-    if (LoOf(leaving) == HiOf(leaving)) StateOf(leaving) = VarState::kAtLower;
-    if (leaving >= 0) value_[static_cast<size_t>(leaving)] = leave_bound;
-    BasicRowOf(leaving) = -1;
-    xb_[r] = new_q_value;
-    basis_[r] = entering;
-    StateOf(entering) = VarState::kBasic;
-    BasicRowOf(entering) = static_cast<int>(r);
+    SwapBasis(r, leave_bound, entering, new_q_value);
 
     // Dual maintenance: a pivot at row r with entering reduced cost d shifts
     // the duals by d * (row r of the *new* B^-1) — for y1 the blocking row's
@@ -1332,9 +1327,7 @@ class Solver::Impl {
     // Update-file bound, as in Step: fold an outgrown file into a fresh
     // factorization before pivoting further.
     if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+      return ForceRefactorize();
     }
     ++iter_;
     int leaving = basis_[r];
@@ -1409,7 +1402,7 @@ class Solver::Impl {
       value_[j] += move;
       vstate_[j] = vstate_[j] == VarState::kAtLower ? VarState::kAtUpper
                                                     : VarState::kAtLower;
-      ++bound_flips_;
+      ++stats_.lp_bound_flips;
       ++first_live;
     }
 
@@ -1441,18 +1434,12 @@ class Solver::Impl {
     for (size_t i = 0; i < m_; ++i) {
       if (!std::isfinite(ftran_[i])) {
         // Poisoned factorization — same recovery path as Step.
-        ++pivot_recoveries_;
-        factor_valid_ = false;
-        Refactorize();
-        return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+        return RecoverPivot();
       }
     }
     double apiv = ftran_[r];
     if (!(std::abs(apiv) > kMinPivot)) {
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+      return RecoverPivot();
     }
     // The entering variable moves by `move` from its resting value so that
     // xb_[r] lands exactly on the violated bound.
@@ -1464,20 +1451,10 @@ class Solver::Impl {
       xb_[i] -= a * move;
     }
     if (!RawPivot(r)) {
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+      return RecoverPivot();
     }
-    StateOf(leaving) = below ? VarState::kAtLower : VarState::kAtUpper;
-    if (LoOf(leaving) == HiOf(leaving)) StateOf(leaving) = VarState::kAtLower;
-    if (leaving >= 0) value_[static_cast<size_t>(leaving)] = leave_bound;
-    BasicRowOf(leaving) = -1;
-    xb_[r] = new_e_value;
-    basis_[r] = e;
-    StateOf(e) = VarState::kBasic;
-    BasicRowOf(e) = static_cast<int>(r);
-    ++dual_pivots_;
+    SwapBasis(r, leave_bound, e, new_e_value);
+    ++stats_.lp_dual_pivots;
 
     // Same per-pivot dual maintenance as Step: the entering reduced cost
     // times row r of the *new* B^-1.
@@ -1507,7 +1484,7 @@ class Solver::Impl {
       refactor_singular_ = true;
       return;
     }
-    ++refactorizations_;
+    ++stats_.lp_refactorizations;
     for (int attempt = 0;; ++attempt) {
       if (EliminateLU()) break;
       if (attempt >= 4 || !RepairSingularBasis()) {
@@ -1569,9 +1546,7 @@ class Solver::Impl {
     long ops_cap = opt_.basis.max_file_ops > 0
                        ? opt_.basis.max_file_ops
                        : std::max<long>(64, static_cast<long>(m_) / 2);
-    long ent_cap = opt_.basis.max_file_entries > 0
-                       ? opt_.basis.max_file_entries
-                       : std::max<long>(1024, 8 * lu_nnz_);
+    long ent_cap = std::max<long>(1024, 8 * lu_nnz_);
     return static_cast<long>(file_.size()) >= ops_cap ||
            static_cast<long>(file_ent_.size()) >= ent_cap;
   }
@@ -1922,15 +1897,9 @@ class Solver::Impl {
   };
   std::vector<Fresh> fresh_;
 
-  // Telemetry surfaced through Solution.
-  long columns_priced_ = 0;
-  int pivot_recoveries_ = 0;
-  long ftran_nnz_ = 0;
-  int pivots_ = 0;
-  int refactorizations_ = 0;
-  int dual_pivots_ = 0;
-  int bound_flips_ = 0;
-  bool warm_restart_used_ = false;
+  // Counters of the live Solve(), surfaced through Solution::stats (the
+  // resident sizes and the iteration count are filled in on return).
+  SolveStats stats_;
 
   // Warm-restart state: ever_optimal_ records that a previous SolveImpl
   // reached kOptimal, which is what makes the current basis a candidate

@@ -54,6 +54,8 @@
 #ifndef LDR_LP_LP_H_
 #define LDR_LP_LP_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -122,17 +124,15 @@ struct PricingOptions {
   int sweep = 0;
 };
 
-// Update-file bounds of the sparse LU basis (see the storage contract
-// above): mid-solve refactorization triggers, disabled together with the
+// Update-file bound of the sparse LU basis (see the storage contract
+// above): a mid-solve refactorization trigger, disabled together with the
 // drift guard by refactor_interval < 0. 0 means automatic: max(64, rows / 2)
-// ops / max(1024, 8 * nnz(L+U)) entries.
+// ops. The file's entry count is bounded too, at max(1024, 8 * nnz(L+U)).
 struct BasisOptions {
   int max_file_ops = 0;
-  long max_file_entries = 0;
 };
 
 struct SolveOptions {
-  double tol = 1e-7;
   // 0 means automatic: 200 + 40 * (rows + variables).
   int max_iters = 0;
   PricingOptions pricing;
@@ -157,6 +157,87 @@ struct SolveOptions {
   double deadline_ms = -1;
 };
 
+// Work counters of one solve, or of several merged. Each counter is
+// declared once, in LDR_LP_SOLVE_STATS: X(type, name, merge), where merge
+// says how two solves combine — Sum for work counts, Max for resident sizes
+// (the peak over the merged solves). The struct, Merge and ForEach are all
+// generated from that list, so a new counter is one line there and reaches
+// every layer that carries SolveStats (RoutingLpResult, RoutingOutcome,
+// ScenarioEpochReport) and every emitter that walks ForEach.
+//
+//   lp_iterations        simplex iterations: basis changes plus bound flips
+//   lp_columns_priced    nonbasic columns whose reduced cost was evaluated
+//                        (candidate re-pricing + refresh and optimality
+//                        sweeps); per iteration, the load partial pricing
+//                        exists to shrink
+//   lp_pivot_recoveries  pivots that hit a numerically-zero (or poisoned)
+//                        element and recovered by forced refactorization
+//                        instead of corrupting the basis
+//   lp_basis_bytes       resident bytes of the factorized state — the L/U
+//                        arrays plus the update file — at the end of a solve
+//   lp_ftran_nnz         sparse input nonzeros fed through FTRAN (entering-
+//                        column solves B^-1·A_j)
+//   lp_pivots            basis-changing pivots (iterations minus bound
+//                        flips); each costs one eta append + one BTRAN
+//   lp_lu_nnz            stored nonzeros in L + U (pivots included) after
+//                        the last sparse refactorization
+//   lp_eta_count         update-file operations (etas + row extensions)
+//                        resident when a solve returned — bounded by the
+//                        eta-file refactorization triggers
+//   lp_fill_ratio        lu_nnz / nnz(B) at the last refactorization: the
+//                        Markowitz fill-in factor (1.0 = no fill)
+//   lp_refactorizations  full refactorizations (interval/drift triggers,
+//                        eta-file bounds, numerical recoveries)
+//   lp_dual_pivots       dual-simplex pivots run repairing a primal-
+//                        infeasible warm basis (0 for primal-only solves)
+//   lp_bound_flips       boxed nonbasic variables flipped bound-to-bound:
+//                        primal ratio-test flips plus dual long-step flips
+//   lp_warm_restart      solves that entered the dual-simplex warm restart
+//                        instead of primal phase 1: a previously optimal
+//                        basis that bound/rhs repair left primal infeasible
+//                        but still dual feasible
+#define LDR_LP_SOLVE_STATS(X)             \
+  X(long, lp_iterations, Sum)             \
+  X(long, lp_columns_priced, Sum)         \
+  X(int, lp_pivot_recoveries, Sum)        \
+  X(size_t, lp_basis_bytes, Max)          \
+  X(long, lp_ftran_nnz, Sum)              \
+  X(long, lp_pivots, Sum)                 \
+  X(long, lp_lu_nnz, Max)                 \
+  X(int, lp_eta_count, Max)               \
+  X(double, lp_fill_ratio, Max)           \
+  X(int, lp_refactorizations, Sum)        \
+  X(long, lp_dual_pivots, Sum)            \
+  X(long, lp_bound_flips, Sum)            \
+  X(int, lp_warm_restart, Sum)
+
+struct SolveStats {
+#define LDR_LP_STATS_DECLARE(type, name, merge) type name = 0;
+  LDR_LP_SOLVE_STATS(LDR_LP_STATS_DECLARE)
+#undef LDR_LP_STATS_DECLARE
+
+  // Folds another solve's counters in: counts add, peaks take the max.
+  void Merge(const SolveStats& other) {
+#define LDR_LP_STATS_MERGE(type, name, merge) merge(&name, other.name);
+    LDR_LP_SOLVE_STATS(LDR_LP_STATS_MERGE)
+#undef LDR_LP_STATS_MERGE
+  }
+
+  // Calls f(name, value) once per counter, in declaration order.
+  template <typename F>
+  void ForEach(F&& f) const {
+#define LDR_LP_STATS_VISIT(type, name, merge) f(#name, name);
+    LDR_LP_SOLVE_STATS(LDR_LP_STATS_VISIT)
+#undef LDR_LP_STATS_VISIT
+  }
+
+ private:
+  template <typename T>
+  static void Sum(T* into, T value) { *into += value; }
+  template <typename T>
+  static void Max(T* into, T value) { *into = std::max(*into, value); }
+};
+
 struct Solution {
   Status status = Status::kInfeasible;
   double objective = 0;
@@ -167,49 +248,8 @@ struct Solution {
   // kLe rows, y_i >= 0 on binding kGe rows, and y_i = 0 on slack rows.
   // These are the phase-2 duals the final optimality sweep priced against.
   std::vector<double> duals;
-  int iterations = 0;
-  // Pricing telemetry: nonbasic columns whose reduced cost was evaluated
-  // over the whole solve (candidate re-pricing + refresh sweeps + optimality
-  // sweeps). columns_priced / iterations is the per-iteration pricing load
-  // the partial mode exists to shrink.
-  long columns_priced = 0;
-  // Pivots that hit a numerically-zero pivot element and recovered by forced
-  // refactorization instead of corrupting the basis.
-  int pivot_recoveries = 0;
-  // Revised-simplex work/memory telemetry:
-  // Resident bytes of the factorized state at the end of the solve — the
-  // L/U arrays plus the update file.
-  size_t basis_bytes = 0;
-  // Total sparse input nonzeros fed through FTRAN (entering-column solves
-  // B^-1·A_j) over the whole solve.
-  long ftran_nnz = 0;
-  // Basis-changing pivots over the solve: simplex basis changes (iterations
-  // minus bound flips). Each costs one eta append + one BTRAN.
-  int pivots = 0;
-  // LU-factorization telemetry:
-  // Stored nonzeros in L + U (pivots included) after the last sparse
-  // refactorization.
-  long lu_nnz = 0;
-  // Update-file operations (etas + row extensions) resident when the solve
-  // returned — bounded by the eta-file refactorization triggers.
-  int eta_count = 0;
-  // lu_nnz / nnz(B) at the last sparse refactorization: the Markowitz
-  // fill-in factor (1.0 = no fill).
-  double fill_ratio = 0;
-  // Full refactorizations performed during this solve (interval/drift
-  // triggers, eta-file bounds, and numerical recoveries).
-  int refactorizations = 0;
-  // Dual-simplex pivots run while repairing a primal-infeasible warm basis
-  // (0 for every primal-only solve).
-  int dual_pivots = 0;
-  // Boxed nonbasic variables flipped bound-to-bound over the solve: primal
-  // ratio-test flips plus the dual long-step flips.
-  int bound_flips = 0;
-  // True when this solve entered the dual-simplex warm restart instead of
-  // primal phase 1: a previously optimal basis that bound/rhs repair left
-  // primal infeasible but still dual feasible (checked by one pricing
-  // sweep; a loss of dual feasibility or progress falls back to primal).
-  bool warm_restart = false;
+  // How the answer was reached (see SolveStats).
+  SolveStats stats;
 
   bool ok() const { return status == Status::kOptimal; }
 };

@@ -7,15 +7,6 @@
 
 namespace ldr {
 
-std::vector<double> PredictDemands(
-    const std::vector<std::vector<double>>& history_100ms,
-    const LdrControllerOptions& opts) {
-  // One-shot = the persistent step on fresh predictors; one implementation,
-  // so the wrapper's bit-for-bit equivalence cannot drift.
-  std::vector<MeanRatePredictor> fresh;
-  return AdvancePredictors(&fresh, history_100ms, opts);
-}
-
 std::vector<double> AdvancePredictors(
     std::vector<MeanRatePredictor>* predictors,
     const std::vector<std::vector<double>>& segment_100ms,
@@ -47,30 +38,16 @@ void LdrController::MarkLpStale() {
   if (reuse_.lp != nullptr) reuse_.lp->MarkTopologyDirty();
 }
 
-void LdrController::OnLinkDown(LinkId link) {
-  ksp_evictions_ += cache_->InvalidateLink(link);
-  MarkLpStale();
-}
-
-void LdrController::OnLinkUp(LinkId) {
-  // A restored link can create shorter paths for any pair; every
-  // generator's production order is suspect, so clear them all. The store
-  // (stable PathIds, cached delays) survives.
-  cache_->Clear();
-  MarkLpStale();
-}
-
 void LdrController::OnCapacityChange() {
   // Path identities and delays are untouched; only the LP's capacity rows
   // are stale — repaired in place on the next solve.
   MarkLpStale();
 }
 
-// Grouped deltas (PR 10): one reconciliation per correlated event. The KSP
-// side is the batch form of the singleton hooks' contract; the LP side is
-// marked stale exactly once, so the dual-simplex repair of the next epoch
-// fixes every member link's path variables in one pass — one epoch delta,
-// not a per-link cascade.
+// Link deltas: one reconciliation per event, whether it carries one link
+// or a correlated group. The LP side is marked stale exactly once, so the
+// dual-simplex repair of the next epoch fixes every member link's path
+// variables in one pass — one epoch delta, not a per-link cascade.
 void LdrController::OnLinksDown(const std::vector<LinkId>& links) {
   if (links.empty()) return;
   ksp_evictions_ += cache_->InvalidateLinks(links);
@@ -79,8 +56,9 @@ void LdrController::OnLinksDown(const std::vector<LinkId>& links) {
 
 void LdrController::OnLinksUp(const std::vector<LinkId>& links) {
   if (links.empty()) return;
-  // Same reasoning as OnLinkUp, once for the whole group: any restored
-  // member can shorten any pair's k-th path.
+  // A restored link can create shorter paths for any pair; every
+  // generator's production order is suspect, so clear them all. The store
+  // (stable PathIds, cached delays) survives.
   cache_->Clear();
   MarkLpStale();
 }
@@ -113,9 +91,9 @@ LdrControllerResult LdrController::RunEpoch(
   // epochs: re-optimizing after a headroom tweak — or for the next minute's
   // demands — re-enters the solver warm with demand deltas instead of
   // rebuilding the Fig. 12 problem from scratch. A topology delta between
-  // epochs drops this state (see the On* hooks), making the next epoch a
-  // cold one. Whether warm re-entry actually happened is read off the first
-  // round's outcome (IterativeLpRoute makes — and reports — that decision).
+  // epochs marks it for in-place repair (see the On* hooks). Whether warm
+  // re-entry actually happened is read off the first round's outcome
+  // (IterativeLpRoute makes — and reports — that decision).
   const PathStore& store = *cache_->store();
   std::vector<std::vector<WeightedSeries>> on_link(g.LinkCount());
   std::vector<size_t> on_link_count(g.LinkCount());
@@ -203,7 +181,7 @@ LdrControllerResult LdrController::RunEpoch(
         }
       }
       if (crosses) {
-        working[a].demand_gbps *= opts_.scale_up;
+        working[a].demand_gbps *= kScaleUp;
         result.demand_estimate_gbps[a] = working[a].demand_gbps;
       }
     }
@@ -264,8 +242,8 @@ LdrControllerResult RunLdrController(
     const LdrControllerOptions& opts) {
   // One-epoch wrapper: a fresh controller fed the entire history as a
   // single segment reproduces the original one-shot behavior exactly (the
-  // fresh predictors see the same per-minute means PredictDemands computes,
-  // and the LP context starts cold).
+  // fresh predictors see the per-minute means of the whole history, and
+  // the LP context starts cold).
   LdrController controller(&g, cache, opts);
   return controller.RunEpoch(aggregates, history_100ms);
 }

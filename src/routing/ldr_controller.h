@@ -33,11 +33,14 @@
 
 namespace ldr {
 
+// Ba multiplier the scale-up step applies to aggregates crossing a link
+// that failed the multiplexing check.
+inline constexpr double kScaleUp = 1.1;
+
 struct LdrControllerOptions {
   IterativeOptions routing;          // the LP/path-growth knobs
   MultiplexOptions multiplex;        // queue budget, period, quantization
   int max_rounds = 6;                // optimize/appraise/tweak iterations
-  double scale_up = 1.1;             // Ba multiplier for failing aggregates
   double predictor_decay = 0.98;     // Algorithm 1 constants
   double predictor_hedge = 1.1;
 };
@@ -66,16 +69,10 @@ struct LdrControllerResult {
   FallbackRung fallback = FallbackRung::kNone;
 };
 
-// Algorithm 1 demand prediction for every aggregate: per-minute means of
-// the measured series replayed through a MeanRatePredictor. Exposed so
-// callers replaying many controller epochs can hoist it.
-std::vector<double> PredictDemands(
-    const std::vector<std::vector<double>>& history_100ms,
-    const LdrControllerOptions& opts);
-
-// The persistent form of the same step: feeds one epoch's measured segment
-// into long-lived per-aggregate predictors (resetting them if the aggregate
-// count changed) and returns the demand estimates. Shared by
+// Algorithm 1 demand prediction for every aggregate: feeds one epoch's
+// measured segment — per-minute means of each series — into long-lived
+// per-aggregate MeanRatePredictors (resetting them if the aggregate count
+// changed) and returns the demand estimates. Shared by
 // LdrController::RunEpoch and the scenario engine's baseline drivers, so
 // every driver in a scenario sees identical demand inputs.
 std::vector<double> AdvancePredictors(
@@ -88,7 +85,7 @@ std::vector<double> AdvancePredictors(
 // (Algorithm 1 decay needs the previous prediction), the warm LP plus grown
 // path sets (LpReuseContext), and the KSP cache it was handed. The scenario
 // engine owns one of these and threads topology deltas through the
-// OnLinkDown / OnLinkUp / OnCapacityChange hooks, which invalidate exactly
+// OnLinksDown / OnLinksUp / OnCapacityChange hooks, which invalidate exactly
 // as much of that state as the delta requires (the LP is marked dirty and
 // repaired in place, never dropped):
 //
@@ -97,7 +94,7 @@ std::vector<double> AdvancePredictors(
 //                      on the next solve). Predictors and KSP cache
 //                      survive (delays unchanged)
 //   link down          targeted KSP eviction of the pairs whose produced
-//                      paths cross the link (KspCache::InvalidateLink over
+//                      paths cross the links (KspCache::InvalidateLinks over
 //                      the reverse index); LP marked dirty — dead-path
 //                      variables fixed to zero, dual-simplex restart off
 //                      the surviving basis
@@ -125,17 +122,15 @@ class LdrController {
   // Topology deltas (see table above). The caller flips the graph state
   // (Graph::SetLinkDown / SetCapacity) itself; these hooks reconcile the
   // controller's cached state with it.
-  void OnLinkDown(LinkId link);
-  void OnLinkUp(LinkId link);
   void OnCapacityChange();
 
-  // Grouped topology deltas (PR 10): a correlated event — SRLG cut, node
-  // failure, maintenance drain — delivers all its member links in ONE batch,
-  // so the controller reconciles once per event, not once per link: the KSP
-  // cache is invalidated for the whole group (batch eviction: each affected
-  // generator evicted and counted once) or cleared once for a grouped
-  // restore, and the live LP is marked dirty once — the dual-simplex repair
-  // sees one epoch delta covering every member link. A maintenance drain is
+  // Link deltas. A single cable event passes its links; a correlated event
+  // — SRLG cut, node failure, maintenance drain — delivers all its member
+  // links in ONE batch, so the controller reconciles once per event, not
+  // once per link: the KSP cache is invalidated for the whole group (batch
+  // eviction: each affected generator evicted and counted once) or cleared
+  // once for a restore, and the live LP is marked dirty once — the
+  // dual-simplex repair sees one epoch delta covering every member link. A maintenance drain is
   // delivered through OnLinksDown too: from the controller's view, "move
   // traffic off these links now" is the same reconciliation whether the
   // links are administratively drained or physically cut.
@@ -147,7 +142,7 @@ class LdrController {
   // epoch of the scenario engine's all-cold incremental=false run).
   void DropWarmState();
 
-  // Generators evicted by OnLinkDown calls so far (telemetry).
+  // Generators evicted by OnLinksDown calls so far (telemetry).
   size_t ksp_evictions() const { return ksp_evictions_; }
 
   const LdrControllerOptions& options() const { return opts_; }

@@ -10,18 +10,19 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "lp/lp.h"
 #include "tm/traffic_matrix.h"
 
 namespace ldr {
 
-struct LinkBasedResult {
+// The lp::SolveStats base carries the one LP solve's work counters.
+struct LinkBasedResult : lp::SolveStats {
   bool solved = false;
   // Demand-weighted mean delay (ms per Gbps routed), comparable to the
   // path-based optimum's delay objective.
   double total_delay_gbps_ms = 0;
   double max_overload = 0;
   double solve_ms = 0;
-  int lp_iterations = 0;
 };
 
 // Solves min sum_l delay_l * flow_l subject to per-source flow conservation

@@ -11,6 +11,18 @@ namespace ldr {
 
 namespace {
 
+// The RTT-aware tie-break weight (Fig. 12's M1). Small so it only breaks
+// ties between placements of equal total delay.
+constexpr double kM1 = 1e-3;
+// Congestion-avoidance dominance weight (Fig. 12's M2).
+constexpr double kM2 = 1e6;
+// MinMax mode keeps growing until omax fails to improve by kImproveEps for
+// kPatience consecutive rounds.
+constexpr double kImproveEps = 1e-6;
+constexpr int kPatience = 2;
+// Overload tolerance deciding "the traffic fits".
+constexpr double kFitEps = 1e-4;
+
 double NowMs() {
   using namespace std::chrono;
   return duration_cast<duration<double, std::milli>>(
@@ -102,7 +114,7 @@ RoutingLpResult SolveRoutingLp(
     xvar[a].resize(paths[a].size());
     for (size_t pi = 0; pi < paths[a].size(); ++pi) {
       double dp = store.DelayMs(paths[a][pi]);
-      double coeff = weight(a) * dp * (1.0 + opts.m1 / s_a);
+      double coeff = weight(a) * dp * (1.0 + kM1 / s_a);
       xvar[a][pi] = problem.AddVariable(0, 1, coeff);
     }
   }
@@ -111,9 +123,9 @@ RoutingLpResult SolveRoutingLp(
   std::vector<int> olvar(num_links, -1);
   int omax_var = -1;
   if (opts.minmax) {
-    omax_var = problem.AddVariable(0, lp::kInfinity, opts.m2);  // U
+    omax_var = problem.AddVariable(0, lp::kInfinity, kM2);  // U
   } else {
-    omax_var = problem.AddVariable(1, lp::kInfinity, opts.m2);  // Omax
+    omax_var = problem.AddVariable(1, lp::kInfinity, kM2);  // Omax
   }
 
   // Gather per-link terms from variable aggregates.
@@ -154,19 +166,7 @@ RoutingLpResult SolveRoutingLp(
 
   lp::Solution sol = lp::Solve(problem, SolverOptionsFor(opts));
   result.status = sol.status;
-  result.columns_priced = sol.columns_priced;
-  result.iterations = sol.iterations;
-  result.pivots = sol.pivots;
-  result.ftran_nnz = sol.ftran_nnz;
-  result.basis_bytes = sol.basis_bytes;
-  result.lu_nnz = sol.lu_nnz;
-  result.eta_count = sol.eta_count;
-  result.fill_ratio = sol.fill_ratio;
-  result.refactorizations = sol.refactorizations;
-  result.pivot_recoveries = sol.pivot_recoveries;
-  result.dual_pivots = sol.dual_pivots;
-  result.bound_flips = sol.bound_flips;
-  result.warm_restart = sol.warm_restart;
+  result.stats = sol.stats;
   if (!sol.ok()) {
     // The LP is always feasible by construction (overload variables are
     // unbounded above); failure here means a numerical breakdown, an
@@ -325,8 +325,8 @@ RoutingLpResult IncrementalRoutingLp::Solve(
     }
     if (weight_denom_ <= 0) weight_denom_ = 1;
     omax_var_ = opts_.minmax
-                    ? solver_.AddVariable(0, lp::kInfinity, opts_.m2)  // U
-                    : solver_.AddVariable(1, lp::kInfinity, opts_.m2);  // Omax
+                    ? solver_.AddVariable(0, lp::kInfinity, kM2)  // U
+                    : solver_.AddVariable(1, lp::kInfinity, kM2);  // Omax
     init_ = true;
   }
 
@@ -358,7 +358,7 @@ RoutingLpResult IncrementalRoutingLp::Solve(
       size_t first_new = prev >= 2 ? prev : 0;
       for (size_t pi = first_new; pi < cnt; ++pi) {
         double dp = store_->DelayMs(paths[a][pi]);
-        double coeff = Weight(a) * dp * (1.0 + opts_.m1 / s_a);
+        double coeff = Weight(a) * dp * (1.0 + kM1 / s_a);
         std::vector<std::pair<int, double>> col_coeffs;
         for (LinkId l : store_->Links(paths[a][pi])) {
           size_t li = static_cast<size_t>(l);
@@ -389,19 +389,7 @@ RoutingLpResult IncrementalRoutingLp::Solve(
   last_ = solver_.Solve();
   const lp::Solution& sol = last_;
   result.status = sol.status;
-  result.columns_priced = sol.columns_priced;
-  result.iterations = sol.iterations;
-  result.pivots = sol.pivots;
-  result.ftran_nnz = sol.ftran_nnz;
-  result.basis_bytes = sol.basis_bytes;
-  result.lu_nnz = sol.lu_nnz;
-  result.eta_count = sol.eta_count;
-  result.fill_ratio = sol.fill_ratio;
-  result.refactorizations = sol.refactorizations;
-  result.pivot_recoveries = sol.pivot_recoveries;
-  result.dual_pivots = sol.dual_pivots;
-  result.bound_flips = sol.bound_flips;
-  result.warm_restart = sol.warm_restart;
+  result.stats = sol.stats;
   if (!sol.ok()) {
     // kIterLimit/kDeadline carry no usable values — never extract fractions
     // from them; callers walk the fallback ladder on !solved.
@@ -612,31 +600,12 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     return acc;
   };
 
-  // Telemetry must reflect every solve that ran, including failed attempts
-  // and the ladder retries below — the rung that finally produced the
-  // placement contributes its pivots/ftran_nnz like any other round.
-  auto accumulate = [&outcome](const RoutingLpResult& r) {
-    outcome.lp_columns_priced += r.columns_priced;
-    outcome.lp_iterations += r.iterations;
-    outcome.lp_pivots += r.pivots;
-    outcome.lp_ftran_nnz += r.ftran_nnz;
-    outcome.lp_basis_bytes = std::max(outcome.lp_basis_bytes, r.basis_bytes);
-    outcome.lp_lu_nnz = std::max(outcome.lp_lu_nnz, r.lu_nnz);
-    outcome.lp_eta_count = std::max(outcome.lp_eta_count, r.eta_count);
-    outcome.lp_fill_ratio = std::max(outcome.lp_fill_ratio, r.fill_ratio);
-    outcome.lp_refactorizations += r.refactorizations;
-    outcome.lp_pivot_recoveries += r.pivot_recoveries;
-    outcome.lp_dual_pivots += r.dual_pivots;
-    outcome.lp_bound_flips += r.bound_flips;
-    if (r.warm_restart) ++outcome.lp_warm_restart;
-  };
-
   RoutingLpResult res;
   RoutingLpResult best_res;
   std::vector<std::vector<PathId>> best_paths;
   double best_delay = lp::kInfinity;
   double best_minmax_omax = lp::kInfinity;
-  int patience_left = opts.patience;
+  int patience_left = kPatience;
   // After the first feasible LDR solution, a couple of extra rounds grow
   // path sets across *saturated* links too: the Fig. 13 stop-at-feasible
   // rule can miss placements that move one aggregate slightly to free a
@@ -654,7 +623,11 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   for (int round = 0; round < opts.max_rounds; ++round) {
     res = reuse->lp->Solve(paths);
     ++outcome.lp_rounds;
-    accumulate(res);
+    // Telemetry must reflect every solve that ran, including failed
+    // attempts and the ladder retries below — the rung that finally
+    // produced the placement contributes its pivots/ftran_nnz like any
+    // other round.
+    outcome.Merge(res.stats);
     if (!res.solved) {
       ++outcome.lp_failures;
       // Degradation ladder, rung 1: most in-place solve failures are B^-1
@@ -662,7 +635,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
       // once before giving up on it.
       reuse->lp->ForceRefactorize();
       RoutingLpResult retry = reuse->lp->Solve(paths);
-      accumulate(retry);
+      outcome.Merge(retry.stats);
       if (retry.solved) {
         res = retry;
         outcome.fallback =
@@ -677,7 +650,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
         auto rebuilt =
             std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
         RoutingLpResult cold = rebuilt->Solve(paths);
-        accumulate(cold);
+        outcome.Merge(cold.stats);
         if (cold.solved) {
           res = cold;
           outcome.fallback =
@@ -691,7 +664,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     if (!res.solved) break;
 
     bool feasible_now =
-        !opts.lp.minmax && res.omax <= 1.0 + opts.fit_eps;
+        !opts.lp.minmax && res.omax <= 1.0 + kFitEps;
     if (feasible_now) {
       double d = weighted_delay(res, paths);
       if (d < best_delay - 1e-9) {
@@ -705,9 +678,9 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     if (!opts.lp.minmax) {
       if (feasible_now && polish_left-- <= 0) break;
     } else {
-      if (res.omax < best_minmax_omax - opts.improve_eps) {
+      if (res.omax < best_minmax_omax - kImproveEps) {
         best_minmax_omax = res.omax;
-        patience_left = opts.patience;
+        patience_left = kPatience;
       } else {
         if (--patience_left <= 0) break;
       }
@@ -758,9 +731,9 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     }
     outcome.max_level = res.omax;
     // Same acceptance threshold in both LP modes: omax is max utilization
-    // under minmax and max overload under LDR, and 1 + fit_eps is the fit
+    // under minmax and max overload under LDR, and 1 + kFitEps is the fit
     // boundary for either scale.
-    outcome.feasible = res.omax <= 1.0 + opts.fit_eps;
+    outcome.feasible = res.omax <= 1.0 + kFitEps;
   } else {
     // Degradation ladder, rung 4 (emergency): every aggregate rides its
     // shortest path. max_level reports the *actual* load of that placement

@@ -38,11 +38,6 @@ struct RoutingLpOptions {
   double headroom = 0.0;
   // MinMax mode: minimize max utilization first, delay as tie-break.
   bool minmax = false;
-  // The RTT-aware tie-break weight (Fig. 12's M1). Small so it only breaks
-  // ties between placements of equal total delay.
-  double m1 = 1e-3;
-  // Congestion-avoidance dominance weight (Fig. 12's M2).
-  double m2 = 1e6;
   // §8 differentiated classes: multiplier applied to the delay weight of
   // aggregates in each traffic class (class c uses class_weights[c], or the
   // last entry when c is out of range). With {10, 1}, class-0 traffic wins
@@ -72,31 +67,8 @@ struct RoutingLpResult {
   // Per-link overload/utilization implied by the solution (same scale as
   // omax), indexed by LinkId.
   std::vector<double> link_level;
-  // Simplex telemetry from this solve (see lp::Solution): how many nonbasic
-  // columns were priced and how many iterations ran.
-  long columns_priced = 0;
-  int iterations = 0;
-  // Revised-simplex telemetry (see lp::Solution): basis-changing pivots,
-  // sparse nonzeros fed through FTRAN, and the resident bytes of the
-  // solver's factorized state (L/U + update file).
-  int pivots = 0;
-  long ftran_nnz = 0;
-  size_t basis_bytes = 0;
-  // Sparse-LU telemetry (see lp::Solution).
-  long lu_nnz = 0;
-  int eta_count = 0;
-  double fill_ratio = 0;
-  int refactorizations = 0;
-  // Tiny-pivot events the solver survived by forcing a refactorization
-  // (see lp::Solution::pivot_recoveries; nonzero means the instance is
-  // numerically near-degenerate and worth a look).
-  int pivot_recoveries = 0;
-  // Warm-restart telemetry (see lp::Solution): dual-simplex pivots run
-  // repairing a primal-infeasible warm basis, bound-to-bound flips of boxed
-  // variables, and whether this solve entered the dual restart at all.
-  int dual_pivots = 0;
-  int bound_flips = 0;
-  bool warm_restart = false;
+  // The solver's work counters for this solve (see lp::SolveStats).
+  lp::SolveStats stats;
 };
 
 // From-scratch build and solve of the LP over explicit path sets: the
@@ -199,12 +171,6 @@ struct IterativeOptions {
   size_t initial_paths = 1;
   // Disable growth for fixed-path-set schemes (MinMaxK10).
   bool grow = true;
-  // MinMax mode keeps growing until omax fails to improve by this for
-  // `patience` consecutive rounds.
-  double improve_eps = 1e-6;
-  int patience = 2;
-  // Overload tolerance deciding "the traffic fits".
-  double fit_eps = 1e-4;
 };
 
 // The Fig. 13 loop over one IncrementalRoutingLp, re-solved warm after each

@@ -374,7 +374,7 @@ size_t ScenarioEngine::UpdateAdaptiveDemand(const ReplayResult& replay,
       }
     }
     double& scale = demand_scale_[a];
-    if (queue_ms > ad.queue_threshold_ms) {
+    if (queue_ms > kQueueThresholdMs) {
       // Multiplicative decrease, with CUBIC's fast-convergence tweak: a
       // backoff from below the previous w_max shrinks the remembered
       // target, so repeated congestion hunts downward.
@@ -389,8 +389,8 @@ size_t ScenarioEngine::UpdateAdaptiveDemand(const ReplayResult& replay,
       // part of the curve from moving the scale backwards.
       ++cubic_epochs_[a];
       double t = static_cast<double>(cubic_epochs_[a]);
-      double k = std::cbrt(cubic_wmax_[a] * (1.0 - ad.beta) / ad.cubic_c);
-      double w = ad.cubic_c * (t - k) * (t - k) * (t - k) + cubic_wmax_[a];
+      double k = std::cbrt(cubic_wmax_[a] * (1.0 - ad.beta) / kCubicC);
+      double w = kCubicC * (t - k) * (t - k) * (t - k) + cubic_wmax_[a];
       scale = std::min(1.0, std::max(scale, std::max(ad.floor, w)));
     }
   }
@@ -605,9 +605,7 @@ ScenarioReport ScenarioEngine::Run() {
       // dual_repair, not warm, so the warm population stays comparable.
       er.warm = ctrl.warm_epoch && !ctrl.topology_repaired;
       er.dual_repair = ctrl.topology_repaired;
-      er.lp_dual_pivots = ctrl.outcome.lp_dual_pivots;
-      er.lp_bound_flips = ctrl.outcome.lp_bound_flips;
-      er.lp_warm_restart = ctrl.outcome.lp_warm_restart;
+      static_cast<lp::SolveStats&>(er) = ctrl.outcome;
       er.rounds = ctrl.rounds;
       er.multiplex_ok = ctrl.multiplex_ok;
       er.failing_links = ctrl.failing_links_last_round;

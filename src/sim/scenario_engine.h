@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "graph/ksp.h"
+#include "lp/lp.h"
 #include "routing/ldr_controller.h"
 #include "routing/scheme.h"
 #include "sim/replay.h"
@@ -153,7 +154,9 @@ std::vector<std::vector<double>> ConstantScenarioTraffic(
     const std::vector<Aggregate>& aggregates, int epochs, double epoch_sec,
     double utilization = 1.0);
 
-struct ScenarioEpochReport {
+// The lp::SolveStats base is the LDR driver's RoutingOutcome counters for
+// the epoch's installed outcome (zero for scheme drivers).
+struct ScenarioEpochReport : lp::SolveStats {
   int epoch = 0;
   // An event fired at this epoch, or a demand surge started/expired — i.e.
   // the epoch's inputs differ from the previous epoch's beyond measurement.
@@ -163,12 +166,6 @@ struct ScenarioEpochReport {
   // the dual-simplex warm restart (PR 9; LDR driver only). Mutually
   // exclusive with `warm`: epochs are cold / warm / dual-repaired.
   bool dual_repair = false;
-  // LP warm-restart telemetry rolled up from the epoch's solves
-  // (RoutingOutcome totals; zero for scheme drivers): dual pivots, dual
-  // long-step bound flips, and solves that entered the dual restart.
-  long lp_dual_pivots = 0;
-  long lp_bound_flips = 0;
-  int lp_warm_restart = 0;
   double solve_ms = 0;    // routing computation wall-clock
   int rounds = 0;         // controller optimize/appraise rounds (1 = clean)
   bool multiplex_ok = false;
@@ -297,20 +294,24 @@ bool PlacementParity(const ScenarioReport& a, const ScenarioReport& b);
 // Closed-loop demand model (PR 10): aggregates react to the *realized*
 // queueing the replay measures, instead of following the fixed timeline.
 // CUBIC-shaped (the TCP congestion-avoidance curve): an aggregate whose
-// paths saw queueing beyond `queue_threshold_ms` last epoch multiplicatively
+// paths saw queueing beyond kQueueThresholdMs last epoch multiplicatively
 // backs its sending scale off by `beta` (remembering the scale that
 // congested as w_max), then probes back along the cubic curve
-// w(t) = c * (t - K)^3 + w_max with K = cbrt(w_max * (1 - beta) / c) —
+// w(t) = C * (t - K)^3 + w_max with K = cbrt(w_max * (1 - beta) / C) —
 // concave recovery toward w_max, then convex probing beyond it, capped at
 // the full offered rate (scale 1). Off by default: the fixed-timeline
 // benches and their stationarity invariants (EventFreeChurnMax == 0) are
 // untouched. Fully deterministic — the scale update is a pure function of
 // the epoch's replay, so campaign replays stay bitwise-identical.
+//
+// kCubicC is the curve's aggressiveness C (scale / epoch^3), and
+// kQueueThresholdMs the realized queueing that signals congestion.
+inline constexpr double kCubicC = 0.05;
+inline constexpr double kQueueThresholdMs = 1;
+
 struct AdaptiveDemandOptions {
   bool enabled = false;
   double beta = 0.7;              // multiplicative backoff factor
-  double cubic_c = 0.05;          // curve aggressiveness (scale / epoch^3)
-  double queue_threshold_ms = 1;  // realized queueing that signals congestion
   double floor = 0.1;             // scale never drops below this
 };
 

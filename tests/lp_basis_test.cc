@@ -68,10 +68,10 @@ TEST_P(LpBasisMutationTest, AnswersCertifyAcrossRefactorizations) {
   auto check = [&](int step) {
     Solution s = solver.Solve();
     ASSERT_TRUE(s.ok()) << ToString(s.status) << " step " << step;
-    refactorizations += s.refactorizations;
+    refactorizations += s.stats.lp_refactorizations;
     // The cap holds at the end of every solve, row extensions appended
     // between solves included.
-    EXPECT_LE(s.eta_count, 4) << "step " << step;
+    EXPECT_LE(s.stats.lp_eta_count, 4) << "step " << step;
     EXPECT_TRUE(test::Certified(solver.Snapshot(), s)) << "step " << step;
   };
 
@@ -129,10 +129,10 @@ TEST(LpBasisTelemetry, LuFieldsPopulated) {
 
   Solution s = Solve(p);
   ASSERT_TRUE(s.ok());
-  EXPECT_GT(s.lu_nnz, 0);
-  EXPECT_GE(s.fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
-  EXPECT_GE(s.refactorizations, 1);
-  EXPECT_GT(s.basis_bytes, 0u);
+  EXPECT_GT(s.stats.lp_lu_nnz, 0);
+  EXPECT_GE(s.stats.lp_fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
+  EXPECT_GE(s.stats.lp_refactorizations, 1);
+  EXPECT_GT(s.stats.lp_basis_bytes, 0u);
 }
 
 // --- eta-file growth bound --------------------------------------------------
@@ -148,15 +148,15 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
   bench::WarmLp warm = bench::BuildSolverBase(spec, so);
   Solution s0 = warm.solver.Solve();
   ASSERT_TRUE(s0.ok());
-  EXPECT_GT(s0.pivots, 8);  // enough pivots that the cap had to fire
-  EXPECT_GE(s0.refactorizations, 2);
-  EXPECT_LE(s0.eta_count, 8);
+  EXPECT_GT(s0.stats.lp_pivots, 8);  // enough pivots that the cap had to fire
+  EXPECT_GE(s0.stats.lp_refactorizations, 2);
+  EXPECT_LE(s0.stats.lp_eta_count, 8);
 
   // Warm growth rounds keep respecting the cap.
   bench::AppendGrowth(spec, &warm);
   Solution s1 = warm.solver.Solve();
   ASSERT_TRUE(s1.ok());
-  EXPECT_LE(s1.eta_count, 8);
+  EXPECT_LE(s1.stats.lp_eta_count, 8);
 
   // Same LP with the trigger left automatic: the file still ends bounded by
   // the documented max(64, m/2) ops ceiling.
@@ -164,7 +164,7 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
   ASSERT_TRUE(sauto.ok());
   long rows = static_cast<long>(
       bench::BuildProblem(spec, true).RowCount());
-  EXPECT_LE(sauto.eta_count, std::max<long>(64, rows / 2));
+  EXPECT_LE(sauto.stats.lp_eta_count, std::max<long>(64, rows / 2));
 }
 
 // --- near-singular refactorization ------------------------------------------

@@ -83,8 +83,8 @@ TEST_P(LpDualTest, ColdFirstSolveNeverEntersDual) {
   TinyLp t = MakeTiny();
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
-  EXPECT_FALSE(s0.warm_restart);
-  EXPECT_EQ(s0.dual_pivots, 0);
+  EXPECT_FALSE(s0.stats.lp_warm_restart);
+  EXPECT_EQ(s0.stats.lp_dual_pivots, 0);
 }
 
 TEST_P(LpDualTest, PrimalFeasibleMutationSkipsDual) {
@@ -96,8 +96,8 @@ TEST_P(LpDualTest, PrimalFeasibleMutationSkipsDual) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 1.0, 1e-6);  // the cheap new column takes over
-  EXPECT_FALSE(s1.warm_restart);
-  EXPECT_EQ(s1.dual_pivots, 0);
+  EXPECT_FALSE(s1.stats.lp_warm_restart);
+  EXPECT_EQ(s1.stats.lp_dual_pivots, 0);
 }
 
 TEST_P(LpDualTest, RhsRepairEntersDualAndRecoversOptimality) {
@@ -108,11 +108,11 @@ TEST_P(LpDualTest, RhsRepairEntersDualAndRecoversOptimality) {
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
   EXPECT_TRUE(test::Certified(t.solver.Snapshot(), s1));
-  EXPECT_EQ(s1.warm_restart, Dual());
+  EXPECT_EQ(s1.stats.lp_warm_restart == 1, Dual());
   if (Dual()) {
-    EXPECT_GT(s1.dual_pivots, 0);
+    EXPECT_GT(s1.stats.lp_dual_pivots, 0);
   } else {
-    EXPECT_EQ(s1.dual_pivots, 0);
+    EXPECT_EQ(s1.stats.lp_dual_pivots, 0);
   }
 }
 
@@ -129,8 +129,8 @@ TEST_P(LpDualTest, LostDualFeasibilityFallsBackToPrimal) {
   t.solver.SetRhs(t.row, 5.0);
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
-  EXPECT_FALSE(s1.warm_restart);
-  EXPECT_EQ(s1.dual_pivots, 0);
+  EXPECT_FALSE(s1.stats.lp_warm_restart);
+  EXPECT_EQ(s1.stats.lp_dual_pivots, 0);
   // Cold reference on the mutated problem: cheap var (cost -4) runs to its
   // bound, the other fills the constraint.
   Problem p;
@@ -167,7 +167,7 @@ TEST_P(LpDualTest, SymmetricTieIsADegenerateDualStep) {
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
   EXPECT_TRUE(test::Certified(t.solver.Snapshot(), s1));
-  EXPECT_EQ(s1.warm_restart, Dual());
+  EXPECT_EQ(s1.stats.lp_warm_restart == 1, Dual());
 }
 
 TEST_P(LpDualTest, ScaledTieStaysOptimal) {
@@ -198,7 +198,7 @@ TEST_P(LpDualTest, BoundFlipTelemetryAccumulates) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 7.0, 1e-6);
-  EXPECT_GE(s1.bound_flips, 0);
+  EXPECT_GE(s1.stats.lp_bound_flips, 0);
 }
 
 // --- lp.dual_infeasible failpoint -------------------------------------------
@@ -215,8 +215,8 @@ TEST(LpDual, ForcedDualLossFallsBackAndRecovers) {
   // deliver the optimum.
   ASSERT_TRUE(faulted.ok());
   EXPECT_NEAR(faulted.objective, 5.0, 1e-6);
-  EXPECT_FALSE(faulted.warm_restart);
-  EXPECT_EQ(faulted.dual_pivots, 0);
+  EXPECT_FALSE(faulted.stats.lp_warm_restart);
+  EXPECT_EQ(faulted.stats.lp_dual_pivots, 0);
   // The site sits inside the warm-entry gate: hit because the dual restart
   // would have engaged.
   EXPECT_GT(hits, 0);
@@ -229,7 +229,7 @@ TEST(LpDual, ForcedDualLossFallsBackAndRecovers) {
   Solution clean = t.solver.Solve();
   ASSERT_TRUE(clean.ok());
   EXPECT_NEAR(clean.objective, 2.0, 1e-6);
-  EXPECT_TRUE(clean.warm_restart);
+  EXPECT_TRUE(clean.stats.lp_warm_restart);
 }
 
 // --- randomized perturbation parity -----------------------------------------
@@ -251,7 +251,7 @@ TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
   bench::WarmLp warm = bench::BuildSolverBase(spec);
   Solution s0 = warm.solver.Solve();
   ASSERT_TRUE(s0.ok());
-  EXPECT_FALSE(s0.warm_restart);
+  EXPECT_FALSE(s0.stats.lp_warm_restart);
 
   // Cumulative mutation state, replayed into each cold reference.
   // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
@@ -288,9 +288,9 @@ TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
     ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
     EXPECT_TRUE(test::Certified(warm.solver.Snapshot(), sw))
         << "step " << step;
-    dual_pivots_total += sw.dual_pivots;
-    if (sw.dual_pivots > 0) {
-      EXPECT_TRUE(sw.warm_restart);
+    dual_pivots_total += sw.stats.lp_dual_pivots;
+    if (sw.stats.lp_dual_pivots > 0) {
+      EXPECT_TRUE(sw.stats.lp_warm_restart);
     }
 
     bench::WarmLp fresh = bench::BuildSolverBase(spec);
@@ -304,7 +304,7 @@ TEST_P(LpDualPerturbParityTest, RepairedAnswersCertifyAndMatchColdSolves) {
     }
     Solution sc = fresh.solver.Solve();
     ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
-    EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
+    EXPECT_FALSE(sc.stats.lp_warm_restart);  // first solve: primal, by the gate
     EXPECT_NEAR(sw.objective, sc.objective,
                 1e-6 * (1 + std::abs(sc.objective)))
         << "step " << step;

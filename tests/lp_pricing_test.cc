@@ -106,8 +106,8 @@ TEST(LpPricing, PartialPricesFewerColumnsPerIterationAtScale) {
     lp::Solution s = lp::Solve(p);
     ASSERT_TRUE(s.ok());
     EXPECT_TRUE(test::Certified(p, s)) << "seed " << seed;
-    cols += s.columns_priced;
-    iters += s.iterations;
+    cols += s.stats.lp_columns_priced;
+    iters += s.stats.lp_iterations;
   }
   ASSERT_GT(iters, 0);
   double per_iter = static_cast<double>(cols) / static_cast<double>(iters);

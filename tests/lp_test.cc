@@ -536,7 +536,7 @@ TEST_P(LpWarmStartTest, IncrementalAddColumnMatchesColdSolve) {
   // Growth can only help: more columns never worsen a minimization.
   EXPECT_LE(second.objective, first.objective + 1e-6);
   // The warm re-solve should need far fewer pivots than the cold build-up.
-  EXPECT_LT(second.iterations, std::max(1, first.iterations));
+  EXPECT_LT(second.stats.lp_iterations, std::max(1L, first.stats.lp_iterations));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpWarmStartTest, ::testing::Range(1, 25));
@@ -805,7 +805,7 @@ TEST(LpSolver, TieWindowWarmResolvesMatchCold) {
 // of magnitude, a long mutation/re-solve epoch must never corrupt state —
 // every warm solve matches a cold rebuild. If factorization drift ever produces a
 // numerically-zero pivot, the solver must recover through forced
-// refactorization (counted in Solution::pivot_recoveries) instead of
+// refactorization (counted in SolveStats::lp_pivot_recoveries) instead of
 // dividing by it, which is what the old NDEBUG-stripped assert allowed.
 TEST(LpSolver, PathologicalScalesStayConsistentWithRefactorGuardDisabled) {
   SolveOptions opt;
@@ -1029,12 +1029,12 @@ TEST(LpSolver, WarmResolveInnerLoopIsAllocationFree) {
   Solution s = solver.Solve();
   g_count_allocations.store(false);
   ASSERT_TRUE(s.ok());
-  EXPECT_GT(s.iterations, 0);  // the loop actually ran
+  EXPECT_GT(s.stats.lp_iterations, 0);  // the loop actually ran
   // Solution::values and Solution::duals are the only per-solve buffers;
   // everything the iterations touch is reused. A small slack covers one-off
-  // scratch growth, but the count must not scale with s.iterations.
+  // scratch growth, but the count must not scale with s.stats.lp_iterations.
   EXPECT_LE(g_allocation_count.load(), 8)
-      << "inner loop allocated; iterations=" << s.iterations;
+      << "inner loop allocated; iterations=" << s.stats.lp_iterations;
 }
 
 // --- the certificate itself -------------------------------------------------
@@ -1193,6 +1193,99 @@ TEST(Lp, ModerateSizePerformance) {
   ASSERT_TRUE(s.ok());
   EXPECT_GT(s.objective, 0);
   EXPECT_LE(s.objective, static_cast<double>(m) + 1e-6);
+}
+
+// --- SolveStats ---------------------------------------------------------------
+// Every LP counter is declared once, in LDR_LP_SOLVE_STATS; these tests pin
+// the two things generated from that list — Merge and ForEach — so every
+// layer carrying SolveStats and every emitter walking it sees each counter.
+
+// The merge rules LDR_LP_SOLVE_STATS names, applied by hand.
+template <typename T>
+T Sum(T a, T b) {
+  return a + b;
+}
+template <typename T>
+T Max(T a, T b) {
+  return std::max(a, b);
+}
+
+// Distinct per-field values: field i gets base * (i + 1).
+SolveStats NumberedStats(long base) {
+  SolveStats st;
+  long i = 0;
+#define LDR_TEST_NUMBER(type, name, merge) \
+  st.name = static_cast<type>(base * ++i);
+  LDR_LP_SOLVE_STATS(LDR_TEST_NUMBER)
+#undef LDR_TEST_NUMBER
+  return st;
+}
+
+TEST(SolveStats, MergeSumsCountsAndKeepsPeaks) {
+  SolveStats a;
+  a.lp_pivots = 5;
+  a.lp_refactorizations = 1;
+  a.lp_warm_restart = 1;
+  a.lp_basis_bytes = 4096;
+  a.lp_eta_count = 7;
+  a.lp_fill_ratio = 1.5;
+  SolveStats b;
+  b.lp_pivots = 3;
+  b.lp_refactorizations = 2;
+  b.lp_warm_restart = 1;
+  b.lp_basis_bytes = 1024;
+  b.lp_eta_count = 9;
+  b.lp_fill_ratio = 1.25;
+  b.lp_lu_nnz = 40;
+  a.Merge(b);
+  EXPECT_EQ(a.lp_pivots, 8);
+  EXPECT_EQ(a.lp_refactorizations, 3);
+  EXPECT_EQ(a.lp_warm_restart, 2);  // solves that entered the dual restart
+  EXPECT_EQ(a.lp_basis_bytes, 4096u);  // peak kept against a smaller one
+  EXPECT_EQ(a.lp_eta_count, 9);  // peak taken from the merged side
+  EXPECT_EQ(a.lp_fill_ratio, 1.5);
+  EXPECT_EQ(a.lp_lu_nnz, 40);
+
+  // Every field, by the rule the list names for it, in both merge orders
+  // (`hi` exceeds `lo` in every field, so a peak must survive merging in
+  // the smaller side).
+  const SolveStats lo = NumberedStats(1);
+  const SolveStats hi = NumberedStats(2);
+  SolveStats lo_hi = lo;
+  lo_hi.Merge(hi);
+  SolveStats hi_lo = hi;
+  hi_lo.Merge(lo);
+#define LDR_TEST_MERGE(type, name, merge)                  \
+  EXPECT_EQ(lo_hi.name, merge(lo.name, hi.name)) << #name; \
+  EXPECT_EQ(hi_lo.name, merge(lo.name, hi.name)) << #name;
+  LDR_LP_SOLVE_STATS(LDR_TEST_MERGE)
+#undef LDR_TEST_MERGE
+}
+
+TEST(SolveStats, ForEachVisitsEveryFieldOnceUnderAUniqueLpName) {
+  int declared = 0;
+#define LDR_TEST_COUNT(type, name, merge) ++declared;
+  LDR_LP_SOLVE_STATS(LDR_TEST_COUNT)
+#undef LDR_TEST_COUNT
+  ASSERT_GT(declared, 0);
+
+  const SolveStats st = NumberedStats(3);
+  std::vector<std::string> names;
+  std::vector<double> values;
+  st.ForEach([&](const char* name, auto value) {
+    names.emplace_back(name);
+    values.push_back(static_cast<double>(value));
+  });
+  ASSERT_EQ(names.size(), static_cast<size_t>(declared));
+  std::vector<std::string> sorted = names;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "duplicate counter name";
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(names[i].rfind("lp_", 0), 0u) << names[i];
+    // Declaration order, each value read from its own field.
+    EXPECT_EQ(values[i], 3.0 * static_cast<double>(i + 1)) << names[i];
+  }
 }
 
 }  // namespace

@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/ksp.h"
 #include "graph/shortest_path.h"
+#include "lp/lp.h"
 #include "routing/ldr_controller.h"
 #include "sim/scenario_engine.h"
 #include "topology/topology.h"
@@ -85,7 +89,7 @@ TEST(KspInvalidation, LinkDownEvictsExactlyCrossingPairs) {
   ASSERT_EQ(cache.size(), 2u);
 
   g.SetLinkDown(0, true);  // A->B fails
-  size_t evicted = cache.InvalidateLink(0);
+  size_t evicted = cache.InvalidateLinks({0});
   EXPECT_EQ(evicted, 1u);  // exactly the (A,B) generator
   EXPECT_EQ(cache.size(), 1u);
   // The untouched pair keeps its warm generator object.
@@ -141,7 +145,7 @@ TEST(KspInvalidation, CandidateQueueCrossingEvictsTheGenerator) {
   g.SetLinkDown(e_to_b, true);
   // No *produced* (A,B) path crosses e->b, but the queued A-E-B candidate
   // does: the candidate scan must evict the generator anyway.
-  EXPECT_EQ(cache.InvalidateLink(e_to_b), 1u);
+  EXPECT_EQ(cache.InvalidateLinks({e_to_b}), 1u);
   EXPECT_EQ(cache.Get(2, 3), unrelated);  // survivor kept
   KspGenerator* fresh = cache.Get(0, 1);
   EXPECT_NE(fresh->GetId(2), kInvalidPathId);  // masked space: 3 paths...
@@ -189,7 +193,7 @@ TEST(ScenarioEngine, StalePathsNeverReachTheLpAfterLinkDown) {
   // the failed links to the LP.
   for (LinkId l : {LinkId{0}, LinkId{1}}) {
     g.SetLinkDown(l, true);
-    controller.OnLinkDown(l);
+    controller.OnLinksDown({l});
   }
   EXPECT_GT(controller.ksp_evictions(), 0u);
   LdrControllerResult r3 = controller.RunEpoch(aggs, segment);
@@ -234,6 +238,51 @@ void ExpectReportsIdentical(const ScenarioReport& x, const ScenarioReport& y) {
     EXPECT_EQ(x.events[i].reconverge_ms < 0, y.events[i].reconverge_ms < 0);
   }
   EXPECT_EQ(x.ksp_evictions, y.ksp_evictions);
+}
+
+// (name, value) of every lp::SolveStats counter, in declaration order.
+std::vector<std::pair<std::string, double>> StatsOf(const lp::SolveStats& st) {
+  std::vector<std::pair<std::string, double>> out;
+  st.ForEach([&](const char* name, auto value) {
+    out.emplace_back(name, static_cast<double>(value));
+  });
+  return out;
+}
+
+TEST(ScenarioEngine, EpochReportsCarryTheOutcomeLpStats) {
+  // The engine copies the LDR outcome's lp::SolveStats whole into each
+  // epoch report: a controller driven through the same epochs by hand
+  // reports equal counters, epoch by epoch. The direct A-B link is too thin
+  // for A->B's 3 Gbps, so every cold epoch grows paths and pivots.
+  Topology t = FailoverNet(/*direct_cap=*/2);
+  Scenario s = FailureScenario(t.graph, /*epochs=*/4);
+  s.events.clear();
+  ScenarioReport report = ScenarioEngine(t, s).Run();
+  ASSERT_EQ(report.epochs.size(), 4u);
+
+  KspCache cache(&t.graph);
+  LdrController controller(&t.graph, &cache);
+  const size_t per_epoch = static_cast<size_t>(s.epoch_sec * 10.0 + 0.5);
+  for (size_t e = 0; e < report.epochs.size(); ++e) {
+    std::vector<std::vector<double>> segment;
+    for (const std::vector<double>& series : s.series_100ms) {
+      auto begin = series.begin() + static_cast<ptrdiff_t>(e * per_epoch);
+      segment.emplace_back(begin, begin + static_cast<ptrdiff_t>(per_epoch));
+    }
+    LdrControllerResult r = controller.RunEpoch(s.aggregates, segment);
+    EXPECT_EQ(StatsOf(report.epochs[e]), StatsOf(r.outcome)) << "epoch " << e;
+  }
+  EXPECT_FALSE(report.epochs[0].warm);
+  EXPECT_GT(report.epochs[0].lp_pivots, 0);
+
+  // Every epoch of the all-cold run rebuilds and re-solves the LP.
+  ScenarioEngineOptions cold;
+  cold.incremental = false;
+  ScenarioReport rc = ScenarioEngine(t, s, cold).Run();
+  for (const ScenarioEpochReport& er : rc.epochs) {
+    EXPECT_FALSE(er.warm);
+    EXPECT_GT(er.lp_pivots, 0) << "epoch " << er.epoch;
+  }
 }
 
 TEST(ScenarioEngine, ReportsAreThreadCountInvariant) {

@@ -18,9 +18,15 @@
 //                     warm AddColumn+re-solve vs cold rebuild-and-solve
 //   iterative_loop    the full IterativeLpRoute path-growth loop (one
 //                     incremental solver across the rounds)
-//   thread_scaling    RunTopology over a bench-corpus slice with
-//                     LDR_THREADS=1 vs LDR_THREADS=4 (speedup is meaningless
-//                     on a 1-core container; see invalid_single_core)
+//   thread_scaling    RunCorpus over a bench-corpus slice with
+//                     LDR_THREADS=1 vs LDR_THREADS=4, medians of three
+//                     alternating pairs. cpu_parallelism is how many cores a
+//                     shared-memory-free spin actually got just before each
+//                     =4 pass (the speedup cannot exceed it);
+//                     limiting_topology / limiting_ms name the slowest
+//                     topology, whose serial time caps the speedup at
+//                     max_speedup (speedup is meaningless on a 1-core
+//                     container; see invalid_single_core)
 //   path_store        corpus wall-clock plus PathStore interning telemetry:
 //                     allocation_refs is how many PathAllocation handles the
 //                     corpus produced (each an owning deep-copied Path before
@@ -52,6 +58,9 @@
 //                     was checked and every one certified — it proves each
 //                     answer optimal rather than agreeing with a second
 //                     solver.
+//   lp_stats          the lp::SolveStats work counters of the answers kkt
+//                     certifies, merged (counts summed, resident sizes at
+//                     their peak): one key per counter.
 //   scenario          the fig21 failure/recovery timeline driven by the
 //                     ScenarioEngine on a zoo topology: per-epoch LDR solve
 //                     medians warm (persistent LP across epochs) vs the
@@ -100,6 +109,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench/failure_scenario.h"
@@ -139,9 +149,12 @@ struct KktTally {
   double dual_residual = 0;
   double complementarity = 0;
   double gap = 0;
+  // Work counters of every answer tallied, merged (the lp_stats section).
+  lp::SolveStats stats;
 
   void Add(const lp::Problem& p, const lp::Solution& s) {
     ++solves;
+    stats.Merge(s.stats);
     lp::Certificate c = lp::CheckOptimality(p, s);
     if (c.ok) {
       ++certified;
@@ -236,23 +249,87 @@ double BenchIterativeLoop(int side, int reps) {
 
 // --- thread_scaling ---------------------------------------------------------
 
-double TimeCorpusMs(const std::vector<Topology>& corpus,
-                    const CorpusRunOptions& opts, const char* threads,
-                    uint64_t* allocation_refs = nullptr,
-                    uint64_t* unique_paths = nullptr) {
-  setenv("LDR_THREADS", threads, 1);
+// Parallel CPU the machine delivers right now: one fixed spin alone, then
+// the same spin on `threads` threads at once; threads * alone / together is
+// ~threads on idle cores and ~1 when the cores are shared away. The spin
+// touches no shared memory, so a low reading is the machine, not the code.
+double CpuParallelism(size_t threads) {
+  auto spin = [] {
+    volatile double x = 0;
+    for (int i = 0; i < 20000000; ++i) x = x + 1e-9;
+  };
   double t0 = NowMs();
-  std::vector<TopologyRun> runs = RunCorpus(corpus, opts);
-  double elapsed = NowMs() - t0;
+  spin();
+  double alone = NowMs() - t0;
+  t0 = NowMs();
+  std::vector<std::thread> pool;
+  for (size_t i = 0; i < threads; ++i) pool.emplace_back(spin);
+  for (std::thread& t : pool) t.join();
+  double together = NowMs() - t0;
+  return together > 0 ? static_cast<double>(threads) * alone / together : 0;
+}
+
+struct ThreadScaling {
+  // Medians over alternating LDR_THREADS=1 / =4 passes: a transient loss of
+  // CPU on a shared machine then spoils one pass, not the reading.
+  double threads1_ms = 0;
+  double threads4_ms = 0;
+  double cpu_parallelism = 0;  // CpuParallelism(4) before each =4 pass
+  // The slowest topology of the first serial pass: its serial time is the
+  // corpus run's critical path (topologies run whole on one worker), so
+  // threads1_ms / limiting_ms bounds the speedup any thread count can reach.
+  std::string limiting_topology;
+  double limiting_ms = 0;
+  // PathStore telemetry of the first serial pass (see path_store).
+  uint64_t allocation_refs = 0;
+  uint64_t unique_paths = 0;
+  double speedup() const {
+    return threads4_ms > 0 ? threads1_ms / threads4_ms : 0;
+  }
+  double max_speedup() const {
+    return limiting_ms > 0 ? threads1_ms / limiting_ms : 0;
+  }
+};
+
+ThreadScaling BenchThreadScaling(const std::vector<Topology>& corpus,
+                                 const CorpusRunOptions& opts, int pairs) {
+  ThreadScaling out;
+  std::vector<double> t1, t4, cpu;
+  for (int pair = 0; pair < pairs; ++pair) {
+    // At LDR_THREADS=1 RunCorpus runs the topologies in order on this
+    // thread, so the gaps between progress callbacks are their wall times.
+    setenv("LDR_THREADS", "1", 1);
+    double t0 = NowMs();
+    double last = t0;
+    std::vector<TopologyRun> runs = RunCorpus(corpus, opts, [&](size_t i) {
+      double now = NowMs();
+      if (pair == 0 && now - last > out.limiting_ms) {
+        out.limiting_ms = now - last;
+        out.limiting_topology = corpus[i].name;
+      }
+      last = now;
+    });
+    t1.push_back(NowMs() - t0);
+    if (pair == 0) {
+      for (const TopologyRun& run : runs) {
+        out.allocation_refs += run.path_allocation_refs;
+        out.unique_paths += run.path_unique_stored;
+      }
+    }
+    cpu.push_back(CpuParallelism(4));
+    setenv("LDR_THREADS", "4", 1);
+    t0 = NowMs();
+    runs = RunCorpus(corpus, opts);
+    t4.push_back(NowMs() - t0);
+    if (runs.size() != corpus.size()) {
+      std::fprintf(stderr, "bench_to_json: corpus run dropped topologies\n");
+    }
+  }
   unsetenv("LDR_THREADS");
-  if (runs.size() != corpus.size()) {
-    std::fprintf(stderr, "bench_to_json: corpus run dropped topologies\n");
-  }
-  for (const TopologyRun& run : runs) {
-    if (allocation_refs != nullptr) *allocation_refs += run.path_allocation_refs;
-    if (unique_paths != nullptr) *unique_paths += run.path_unique_stored;
-  }
-  return elapsed;
+  out.threads1_ms = MedianMs(t1);
+  out.threads4_ms = MedianMs(t4);
+  out.cpu_parallelism = MedianMs(cpu);
+  return out;
 }
 
 // --- lp_pricing -------------------------------------------------------------
@@ -282,8 +359,8 @@ PricingRun BenchPricingShapes(int aggregates, int links, int reps,
     times.push_back(NowMs() - t0);
     kkt->Add(p, s);
     if (s.ok()) {
-      out.columns += s.columns_priced;
-      out.iters += s.iterations;
+      out.columns += s.stats.lp_columns_priced;
+      out.iters += s.stats.lp_iterations;
       ++out.solved;
     }
   }
@@ -377,10 +454,10 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
       continue;
     }
     ++out.reps;
-    out.iters += sw.iterations;
-    out.pivots += sw.pivots;
-    out.ftran_nnz += sw.ftran_nnz;
-    out.basis_bytes = sw.basis_bytes;
+    out.iters += sw.stats.lp_iterations;
+    out.pivots += sw.stats.lp_pivots;
+    out.ftran_nnz += sw.stats.lp_ftran_nnz;
+    out.basis_bytes = sw.stats.lp_basis_bytes;
     lp::Problem cold = bench::BuildProblem(spec, /*with_growth=*/true);
     lp::Solution sc = lp::Solve(cold);
     kkt->Add(cold, sc);
@@ -410,10 +487,10 @@ RevisedStats BenchRevisedShapes(int aggregates, int links, int reps,
       continue;
     }
     ++out.reps;
-    out.iters += s.iterations;
-    out.pivots += s.pivots;
-    out.ftran_nnz += s.ftran_nnz;
-    out.basis_bytes = s.basis_bytes;
+    out.iters += s.stats.lp_iterations;
+    out.pivots += s.stats.lp_pivots;
+    out.ftran_nnz += s.stats.lp_ftran_nnz;
+    out.basis_bytes = s.stats.lp_basis_bytes;
   }
   return out;
 }
@@ -456,13 +533,13 @@ LuSweepPoint BenchLuSweepPoint(int groups, int links, int reps,
     out.lu_ms += NowMs() - t0;
     kkt->Add(p, sl);
     if (!sl.ok()) continue;
-    out.lu_pivots += sl.pivots;
-    out.lu_basis_bytes = sl.basis_bytes;
-    out.lu_nnz = sl.lu_nnz;
-    out.fill_ratio = sl.fill_ratio;
-    out.eta_count = sl.eta_count;
-    out.refactorizations = sl.refactorizations;
-    out.pivot_recoveries += sl.pivot_recoveries;
+    out.lu_pivots += sl.stats.lp_pivots;
+    out.lu_basis_bytes = sl.stats.lp_basis_bytes;
+    out.lu_nnz = sl.stats.lp_lu_nnz;
+    out.fill_ratio = sl.stats.lp_fill_ratio;
+    out.eta_count = sl.stats.lp_eta_count;
+    out.refactorizations = sl.stats.lp_refactorizations;
+    out.pivot_recoveries += sl.stats.lp_pivot_recoveries;
   }
   return out;
 }
@@ -756,11 +833,8 @@ struct LpDualBench {
   // dual warm restart exists to make cheap.
   double dual_event_median_ms = 0;
   double cold_event_median_ms = 0;
-  // Warm-run telemetry totals (the lp::Solution counters threaded through
-  // RoutingOutcome into the epoch reports).
-  long dual_pivots = 0;
-  long bound_flips = 0;
-  long warm_restart_solves = 0;
+  // Warm-run LP counters, merged over the epoch reports.
+  lp::SolveStats warm;
   // Per event: the wall clock from the event to the regained clean
   // placement, in the warm and the all-cold run.
   std::vector<double> dual_reconverge_ms;
@@ -793,9 +867,7 @@ LpDualBench BenchLpDual(const Fig21Runs& runs) {
   std::set<size_t> exempt;  // the 2-epoch parity window of each event
   for (size_t e = 0; e < dual.epochs.size(); ++e) {
     const ScenarioEpochReport& er = dual.epochs[e];
-    out.dual_pivots += er.lp_dual_pivots;
-    out.bound_flips += er.lp_bound_flips;
-    out.warm_restart_solves += er.lp_warm_restart;
+    out.warm.Merge(er);
     if (!er.event_epoch) continue;
     dual_ms.push_back(er.solve_ms);
     cold_ms.push_back(cold.epochs[e].solve_ms);
@@ -905,8 +977,7 @@ int main(int argc, char** argv) {
   SurvivabilityBench survivability = BenchSurvivability(smoke);
 
   std::vector<Topology> corpus;
-  uint64_t allocation_refs = 0, unique_paths = 0;
-  double t1 = 0, t4 = 0;
+  ThreadScaling scaling;
   if (!smoke) {
     std::fprintf(stderr, "bench_to_json: thread_scaling...\n");
     corpus = BenchCorpus(/*small_stride=*/8);
@@ -914,9 +985,10 @@ int main(int argc, char** argv) {
     copts.scheme_ids = {kSchemeOptimal, kSchemeMinMax};
     copts.workload.num_instances = 4;
     copts.max_nodes = 40;
-    t1 = TimeCorpusMs(corpus, copts, "1", &allocation_refs, &unique_paths);
-    t4 = TimeCorpusMs(corpus, copts, "4");
+    scaling = BenchThreadScaling(corpus, copts, /*pairs=*/3);
   }
+  const uint64_t allocation_refs = scaling.allocation_refs;
+  const uint64_t unique_paths = scaling.unique_paths;
   double hit_rate =
       allocation_refs > unique_paths
           ? 1.0 - static_cast<double>(unique_paths) /
@@ -950,14 +1022,20 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"thread_scaling\": {\"threads1_ms\": %.1f, "
                "\"threads4_ms\": %.1f, \"speedup\": %.2f, "
-               "\"topologies\": %zu, \"hardware_threads\": %u%s},\n",
-               t1, t4, t4 > 0 ? t1 / t4 : 0, corpus.size(), hw_threads,
+               "\"topologies\": %zu, \"hardware_threads\": %u, "
+               "\"cpu_parallelism\": %.2f, \"limiting_topology\": \"%s\", "
+               "\"limiting_ms\": %.1f, \"max_speedup\": %.2f%s},\n",
+               scaling.threads1_ms, scaling.threads4_ms, scaling.speedup(),
+               corpus.size(), hw_threads, scaling.cpu_parallelism,
+               scaling.limiting_topology.c_str(), scaling.limiting_ms,
+               scaling.max_speedup(),
                single_core ? ", \"invalid_single_core\": true" : "");
   std::fprintf(f,
                "  \"path_store\": {\"corpus_ms\": %.1f, "
                "\"allocation_refs\": %llu, \"unique_paths\": %llu, "
                "\"intern_hit_rate\": %.4f},\n",
-               t1, static_cast<unsigned long long>(allocation_refs),
+               scaling.threads1_ms,
+               static_cast<unsigned long long>(allocation_refs),
                static_cast<unsigned long long>(unique_paths), hit_rate);
   // Same 1-core caveat as thread_scaling: epoch solve medians measured on a
   // loaded single-core container are scheduling noise, so they carry the
@@ -1025,6 +1103,20 @@ int main(int argc, char** argv) {
                kkt.solves, kkt.certified, kkt.primal_residual,
                kkt.dual_residual, kkt.complementarity, kkt.gap,
                kkt.all_certified() ? "true" : "false");
+  // The merged work counters of the same answers, one key per
+  // lp::SolveStats field.
+  std::fprintf(f, "  \"lp_stats\": {");
+  const char* sep = "";
+  kkt.stats.ForEach([&](const char* name, auto value) {
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      std::fprintf(f, "%s\"%s\": %.4f", sep, name, value);
+    } else {
+      std::fprintf(f, "%s\"%s\": %lld", sep, name,
+                   static_cast<long long>(value));
+    }
+    sep = ", ";
+  });
+  std::fprintf(f, "},\n");
   // degraded_solve_ms is wall-clock and inherits the 1-core caveat; the
   // rung counts and recovery_parity are correctness and carry no marker.
   std::fprintf(
@@ -1063,8 +1155,9 @@ int main(int argc, char** argv) {
       "    \"dual_pivots\": %ld, \"bound_flips\": %ld, \"warm_restart\": "
       "%ld,\n",
       lp_dual.epochs, lp_dual.dual_repair_epochs, lp_dual.dual_event_median_ms,
-      lp_dual.cold_event_median_ms, lp_dual.speedup(), lp_dual.dual_pivots,
-      lp_dual.bound_flips, lp_dual.warm_restart_solves);
+      lp_dual.cold_event_median_ms, lp_dual.speedup(),
+      lp_dual.warm.lp_dual_pivots, lp_dual.warm.lp_bound_flips,
+      static_cast<long>(lp_dual.warm.lp_warm_restart));
   emit_reconverge("dual_reconverge_ms", lp_dual.dual_reconverge_ms, true);
   emit_reconverge("cold_reconverge_ms", lp_dual.cold_reconverge_ms, true);
   std::fprintf(f, "    \"warm_restart_parity\": %s%s\n  },\n",
@@ -1130,8 +1223,8 @@ int main(int argc, char** argv) {
       revised_shapes.basis_bytes, revised_parity ? "yes" : "NO",
       lu_sweep.back().rows, lu_sweep.back().lu_ms,
       lu_sweep.back().lu_basis_bytes, lu_sweep.back().fill_ratio,
-      loop_large_ms, t1, t4,
-      t4 > 0 ? t1 / t4 : 0,
+      loop_large_ms, scaling.threads1_ms, scaling.threads4_ms,
+      scaling.speedup(),
       static_cast<unsigned long long>(allocation_refs),
       static_cast<unsigned long long>(unique_paths), hit_rate * 100,
       shape_partial.per_iter(), shape_partial.ms, corpus_partial.per_iter(),
@@ -1147,8 +1240,9 @@ int main(int argc, char** argv) {
       "lp_dual       event epochs dual %.3f ms  cold %.3f ms  speedup %.1fx  "
       "repaired %zu  pivots %ld  flips %ld  parity %s\n",
       lp_dual.dual_event_median_ms, lp_dual.cold_event_median_ms,
-      lp_dual.speedup(), lp_dual.dual_repair_epochs, lp_dual.dual_pivots,
-      lp_dual.bound_flips, lp_dual.warm_restart_parity ? "yes" : "NO");
+      lp_dual.speedup(), lp_dual.dual_repair_epochs,
+      lp_dual.warm.lp_dual_pivots, lp_dual.warm.lp_bound_flips,
+      lp_dual.warm_restart_parity ? "yes" : "NO");
   for (const DriverSurvivability& d : survivability.drivers) {
     std::printf(
         "survivability %-3s  %zu campaigns  avail %.3f (min %.3f)  "
