@@ -7,6 +7,7 @@
 #include "bench/bench_util.h"
 #include "graph/shortest_path.h"
 #include "routing/ldr_controller.h"
+#include "routing/link_appraiser.h"
 #include "sim/corpus_runner.h"
 #include "sim/evaluate.h"
 #include "sim/workload.h"
@@ -72,30 +73,16 @@ int main() {
     bool ok = false;
     int rounds = 0;
     RoutingOutcome out;
+    // Capacities stay fixed across the ladder (headroom is an LP knob), so
+    // one appraiser serves every rung.
+    LinkAppraiser appraiser(gts.graph, *cache.store(), history, {});
     while (rounds < 10 && !ok) {
       ++rounds;
       IterativeOptions ropts;
       ropts.lp.headroom = headroom;
       out = IterativeLpRoute(gts.graph, working, &cache, ropts);
-      ok = true;
-      for (size_t l = 0; l < gts.graph.LinkCount(); ++l) {
-        std::vector<WeightedSeries> inputs;
-        for (size_t a = 0; a < working.size(); ++a) {
-          for (const PathAllocation& pa : out.allocations[a]) {
-            if (pa.fraction > 1e-9 &&
-                out.store->ContainsLink(pa.path, static_cast<LinkId>(l))) {
-              inputs.push_back({&history[a], pa.fraction});
-            }
-          }
-        }
-        if (inputs.empty()) continue;
-        if (!CheckLinkMultiplexing(
-                 inputs, gts.graph.link(static_cast<LinkId>(l)).capacity_gbps)
-                 .pass) {
-          ok = false;
-          break;
-        }
-      }
+      appraiser.Appraise(out.allocations);
+      ok = appraiser.failing().empty();
       if (!ok) headroom += 0.05;
     }
     EvalResult e = Evaluate(gts.graph, aggs, out, apsp);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "routing/link_appraiser.h"
 #include "routing/placement.h"
 #include "traffic/trace.h"
 
@@ -95,9 +96,7 @@ LdrControllerResult LdrController::RunEpoch(
   // re-entry actually happened is read off the first round's outcome
   // (IterativeLpRoute makes — and reports — that decision).
   const PathStore& store = *cache_->store();
-  std::vector<std::vector<WeightedSeries>> on_link(g.LinkCount());
-  std::vector<size_t> on_link_count(g.LinkCount());
-  std::vector<bool> failing(g.LinkCount());
+  LinkAppraiser appraiser(g, store, segment_100ms, opts_.multiplex);
 
   for (int round = 0; round < opts_.max_rounds; ++round) {
     result.rounds = round + 1;
@@ -118,44 +117,14 @@ LdrControllerResult LdrController::RunEpoch(
     }
 
     // (3) Appraise multiplexing per link using the *measured* last-minute
-    // series (not the estimates). Count contributions first so the scatter
-    // never reallocates mid-fill.
-    std::fill(on_link_count.begin(), on_link_count.end(), size_t{0});
-    for (size_t a = 0; a < working.size(); ++a) {
-      for (const PathAllocation& pa : result.outcome.allocations[a]) {
-        if (pa.fraction <= 1e-9) continue;
-        for (LinkId l : store.Links(pa.path)) {
-          ++on_link_count[static_cast<size_t>(l)];
-        }
-      }
-    }
-    for (size_t l = 0; l < g.LinkCount(); ++l) {
-      on_link[l].clear();
-      on_link[l].reserve(on_link_count[l]);
-    }
-    for (size_t a = 0; a < working.size(); ++a) {
-      for (const PathAllocation& pa : result.outcome.allocations[a]) {
-        if (pa.fraction <= 1e-9) continue;
-        for (LinkId l : store.Links(pa.path)) {
-          on_link[static_cast<size_t>(l)].push_back(
-              {&segment_100ms[a], pa.fraction});
-        }
-      }
-    }
-    std::fill(failing.begin(), failing.end(), false);
-    size_t fail_count = 0;
-    for (size_t l = 0; l < g.LinkCount(); ++l) {
-      if (on_link[l].empty()) continue;
-      LinkCheckResult check = CheckLinkMultiplexing(
-          on_link[l], g.link(static_cast<LinkId>(l)).capacity_gbps,
-          opts_.multiplex);
-      if (!check.pass) {
-        failing[l] = true;
-        ++fail_count;
-      }
-    }
-    result.failing_links_last_round = fail_count;
-    if (fail_count == 0) {
+    // series (not the estimates). Links whose aggregate list did not change
+    // since an earlier round of this epoch are answered from the memo.
+    LinkAppraiser::Pass pass = appraiser.Appraise(result.outcome.allocations);
+    result.links_checked += pass.checked;
+    result.links_memo_hit += pass.memo_hits;
+    result.links_peak_skipped += pass.peak_skipped;
+    result.failing_links_last_round = appraiser.failing().size();
+    if (appraiser.failing().empty()) {
       result.multiplex_ok = true;
       break;
     }
@@ -165,9 +134,8 @@ LdrControllerResult LdrController::RunEpoch(
     // reverse index marks failing paths once; each allocation then tests by
     // id instead of rescanning its link sequence.
     std::vector<char> path_failing(store.size(), 0);
-    for (size_t l = 0; l < g.LinkCount(); ++l) {
-      if (!failing[l]) continue;
-      for (PathId p : store.PathsOnLink(static_cast<LinkId>(l))) {
+    for (LinkId l : appraiser.failing()) {
+      for (PathId p : store.PathsOnLink(l)) {
         path_failing[static_cast<size_t>(p)] = 1;
       }
     }

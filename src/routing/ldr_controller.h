@@ -52,6 +52,12 @@ struct LdrControllerResult {
   int rounds = 0;
   bool multiplex_ok = false;  // all links passed in the final round
   size_t failing_links_last_round = 0;
+  // Multiplexing appraisal, summed over all rounds: loaded links checked,
+  // how many of them the per-link memo answered (the rest were checked
+  // fresh), and how many passed by the peak-sum skip.
+  size_t links_checked = 0;
+  size_t links_memo_hit = 0;
+  size_t links_peak_skipped = 0;
   // Routing wall-clock summed over *all* optimize rounds of the epoch
   // (outcome.solve_ms covers only the final round's re-optimization).
   double solve_ms_total = 0;

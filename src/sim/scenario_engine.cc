@@ -17,6 +17,9 @@ namespace ldr {
 
 namespace {
 
+// A capacity-scale or surge factor: finite and positive.
+bool FactorValid(double factor) { return std::isfinite(factor) && factor > 0; }
+
 // (aggregate, path) -> fraction, for churn comparison. PathIds are stable
 // across epochs — the engine's PathStore arena survives every invalidation
 // — so id equality is placement equality.
@@ -268,10 +271,12 @@ bool ScenarioEngine::EventValid(const ScenarioEvent& ev) const {
   if (ev.epoch < 0 || ev.epoch >= scenario_.epochs) return false;
   switch (ev.type) {
     case ScenarioEvent::Type::kDemandSurge:
-      // A surge must actually surge something: positive window, and a
-      // target that is either the documented -1 ("every aggregate") or a
-      // real index.
-      return ev.duration_epochs > 0 && ev.aggregate >= -1 &&
+      // A surge must actually surge something: positive window, a finite
+      // positive factor (0 would erase the traffic, a negative one would
+      // make the segment negative), and a target that is either the
+      // documented -1 ("every aggregate") or a real index.
+      return ev.duration_epochs > 0 && FactorValid(ev.factor) &&
+             ev.aggregate >= -1 &&
              (ev.aggregate < 0 ||
               static_cast<size_t>(ev.aggregate) < scenario_.aggregates.size());
     case ScenarioEvent::Type::kSrlgDown:
@@ -288,9 +293,13 @@ bool ScenarioEngine::EventValid(const ScenarioEvent& ev) const {
       // The window must have extent; the drain epoch clamps to 0 on its own.
       return ev.duration_epochs > 0 && ev.link >= 0 &&
              static_cast<size_t>(ev.link) < graph_.LinkCount();
+    case ScenarioEvent::Type::kCapacityScale:
+      // Same factor rule as a surge: a zero factor would leave a link that
+      // carries traffic with no capacity.
+      return FactorValid(ev.factor) && ev.link >= 0 &&
+             static_cast<size_t>(ev.link) < graph_.LinkCount();
     case ScenarioEvent::Type::kLinkDown:
     case ScenarioEvent::Type::kLinkUp:
-    case ScenarioEvent::Type::kCapacityScale:
       return ev.link >= 0 &&
              static_cast<size_t>(ev.link) < graph_.LinkCount();
   }

@@ -73,7 +73,8 @@ struct ScenarioEvent {
   int epoch = 0;
   LinkId link = kInvalidLink;  // kLinkDown / kLinkUp / kCapacityScale /
                                // kMaintenance (the cable's forward link)
-  double factor = 1.0;         // kCapacityScale / kDemandSurge
+  double factor = 1.0;         // kCapacityScale / kDemandSurge; must be
+                               // finite and > 0
   int duration_epochs = 1;     // kDemandSurge / kMaintenance
   int aggregate = -1;          // kDemandSurge; -1 = every aggregate
   int srlg = -1;               // kSrlgDown / kSrlgUp: index into
@@ -248,7 +249,8 @@ struct ScenarioReport {
   // Scenario-input validation (PR 6): events skipped as redundant (LinkDown
   // on an already-masked link / LinkUp on a link that is up), dropped by
   // the scenario.drop_event failpoint, or rejected by EventValid (bad link
-  // id, epoch outside the timeline, non-positive surge factor).
+  // id, epoch outside the timeline, a surge or capacity-scale factor that
+  // is not finite and positive).
   size_t redundant_events = 0;
   size_t dropped_events = 0;
   size_t invalid_events = 0;

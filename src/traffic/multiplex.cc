@@ -6,6 +6,29 @@
 #include "traffic/fft.h"
 
 namespace ldr {
+namespace {
+
+// ExceedProbability with the bin width's peak sum supplied by the caller.
+double ExceedProbabilityGivenPeakSum(const std::vector<WeightedSeries>& inputs,
+                                     double peak_sum, double capacity_gbps,
+                                     size_t bins) {
+  if (inputs.empty() || capacity_gbps <= 0 || peak_sum <= 0) return 0;
+  // Common bin width sized from the sum of per-aggregate peaks so each
+  // distribution gets ~`bins` levels of resolution relative to the total.
+  double bin = peak_sum / static_cast<double>(bins);
+  std::vector<std::vector<double>> pmfs;
+  pmfs.reserve(inputs.size());
+  for (const WeightedSeries& w : inputs) {
+    std::vector<double> scaled;
+    scaled.reserve(w.series_gbps->size());
+    for (double v : *w.series_gbps) scaled.push_back(v * w.weight);
+    pmfs.push_back(QuantizeToPmf(scaled, bin));
+  }
+  std::vector<double> sum_pmf = ConvolvePmfs(pmfs);
+  return TailProbability(sum_pmf, bin, capacity_gbps);
+}
+
+}  // namespace
 
 double MaxQueueDelayMs(const std::vector<WeightedSeries>& inputs,
                        double capacity_gbps, double period_sec) {
@@ -33,45 +56,40 @@ double MaxQueueDelayMs(const std::vector<WeightedSeries>& inputs,
 
 double ExceedProbability(const std::vector<WeightedSeries>& inputs,
                          double capacity_gbps, size_t bins) {
-  if (inputs.empty() || capacity_gbps <= 0) return 0;
-  // Common bin width sized from the sum of per-aggregate peaks so each
-  // distribution gets ~`bins` levels of resolution relative to the total.
+  return ExceedProbabilityGivenPeakSum(inputs, PeakSum(inputs), capacity_gbps,
+                                       bins);
+}
+
+double SeriesPeak(const std::vector<double>& series) {
+  double peak = 0;
+  for (double v : series) peak = std::max(peak, v);
+  return peak;
+}
+
+double PeakSum(const std::vector<WeightedSeries>& inputs) {
   double peak_sum = 0;
   for (const WeightedSeries& w : inputs) {
     double peak = 0;
     for (double v : *w.series_gbps) peak = std::max(peak, v * w.weight);
     peak_sum += peak;
   }
-  if (peak_sum <= 0) return 0;
-  double bin = peak_sum / static_cast<double>(bins);
-  std::vector<std::vector<double>> pmfs;
-  pmfs.reserve(inputs.size());
-  for (const WeightedSeries& w : inputs) {
-    std::vector<double> scaled;
-    scaled.reserve(w.series_gbps->size());
-    for (double v : *w.series_gbps) scaled.push_back(v * w.weight);
-    pmfs.push_back(QuantizeToPmf(scaled, bin));
-  }
-  std::vector<double> sum_pmf = ConvolvePmfs(pmfs);
-  return TailProbability(sum_pmf, bin, capacity_gbps);
+  return peak_sum;
 }
 
-LinkCheckResult CheckLinkMultiplexing(const std::vector<WeightedSeries>& inputs,
-                                      double capacity_gbps,
+LinkCheckResult CheckLinkGivenPeakSum(const std::vector<WeightedSeries>& inputs,
+                                      double peak_sum, double capacity_gbps,
                                       const MultiplexOptions& opts) {
   LinkCheckResult r;
   // Optimization 1: if even the peaks sum below capacity, both tests pass.
-  double peak_sum = 0;
-  size_t len = 0;
-  for (const WeightedSeries& w : inputs) {
-    double peak = 0;
-    for (double v : *w.series_gbps) peak = std::max(peak, v * w.weight);
-    peak_sum += peak;
-    len = std::max(len, w.series_gbps->size());
-  }
   if (peak_sum <= capacity_gbps) {
     r.skipped_peak_test = true;
     r.pass = true;
+    return r;
+  }
+  // Traffic on a link that cannot carry any: both tests below read a zero
+  // or negative capacity as "no delay, no tail", so fail it here.
+  if (capacity_gbps <= 0) {
+    r.pass = false;
     return r;
   }
 
@@ -80,14 +98,25 @@ LinkCheckResult CheckLinkMultiplexing(const std::vector<WeightedSeries>& inputs,
     r.pass = false;
     return r;
   }
-  r.exceed_probability = ExceedProbability(inputs, capacity_gbps, opts.bins);
+  r.exceed_probability = ExceedProbabilityGivenPeakSum(inputs, peak_sum,
+                                                       capacity_gbps, opts.bins);
   // Threshold: allowed queue budget over the measurement window (the
   // paper's 10 ms / 60 s = 0.00016).
+  size_t len = 0;
+  for (const WeightedSeries& w : inputs) {
+    len = std::max(len, w.series_gbps->size());
+  }
   double window_ms =
       static_cast<double>(len) * opts.period_sec * 1000.0;
   double threshold = window_ms > 0 ? opts.max_queue_ms / window_ms : 0;
   r.pass = r.exceed_probability <= threshold;
   return r;
+}
+
+LinkCheckResult CheckLinkMultiplexing(const std::vector<WeightedSeries>& inputs,
+                                      double capacity_gbps,
+                                      const MultiplexOptions& opts) {
+  return CheckLinkGivenPeakSum(inputs, PeakSum(inputs), capacity_gbps, opts);
 }
 
 }  // namespace ldr

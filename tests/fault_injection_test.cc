@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -473,6 +474,53 @@ TEST_F(FaultInjectionTest, ScenarioEngineCountsInvalidAndRedundantEvents) {
   }
   EXPECT_EQ(report.clean_fallback_epochs, 0u);
   EXPECT_EQ(report.fallback_counts[0], static_cast<size_t>(s.epochs));
+}
+
+TEST_F(FaultInjectionTest, ScenarioEngineRejectsBadScaleFactors) {
+  // A surge or capacity-scale factor must be finite and > 0: a zero factor
+  // erases a link's capacity or an aggregate's traffic, a negative one
+  // makes the segment negative.
+  Topology t = FailoverNet();
+  Scenario s;
+  s.name = "factor-validation";
+  s.epochs = 6;
+  s.aggregates = SmallAggregates();
+  s.series_100ms = ConstantScenarioTraffic(s.aggregates, s.epochs, s.epoch_sec);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  ScenarioEvent surge;
+  surge.type = ScenarioEvent::Type::kDemandSurge;
+  surge.epoch = 1;
+  surge.duration_epochs = 2;
+  for (double f : {0.0, -1.0, inf, nan}) {
+    surge.factor = f;
+    s.events.push_back(surge);         // invalid
+  }
+  ScenarioEvent scale;
+  scale.type = ScenarioEvent::Type::kCapacityScale;
+  scale.epoch = 2;
+  scale.link = 0;
+  for (double f : {0.0, -0.5, inf, nan}) {
+    scale.factor = f;
+    s.events.push_back(scale);         // invalid
+  }
+  const double cap0 = t.graph.link(0).capacity_gbps;
+  scale.epoch = 3;
+  scale.factor = 0.5;
+  s.events.push_back(scale);           // applied
+
+  ScenarioEngine engine(t, s);
+  ScenarioReport report = engine.Run();
+
+  EXPECT_EQ(report.invalid_events, 8u);
+  EXPECT_EQ(report.redundant_events, 0u);
+  // Only the valid scale reached the topology.
+  EXPECT_EQ(engine.graph().link(0).capacity_gbps, cap0 * 0.5);
+  for (const auto& er : report.epochs) {
+    EXPECT_EQ(er.fallback, FallbackRung::kNone);
+    EXPECT_TRUE(er.placement_valid);
+  }
 }
 
 TEST_F(FaultInjectionTest, ScenarioDropEventFailpointLosesTheEvent) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "traffic/fft.h"
 #include "traffic/multiplex.h"
@@ -314,6 +317,75 @@ TEST(Multiplex, ExceedProbabilityMatchesAnalyticCase) {
   std::vector<WeightedSeries> in{{&s1, 1.0}, {&s2, 1.0}};
   double prob = ExceedProbability(in, 1.5, 1024);
   EXPECT_NEAR(prob, 0.25, 0.02);
+}
+
+TEST(Multiplex, LoadedLinkWithoutCapacityFails) {
+  // Both tests read a capacity <= 0 as "no delay, no tail"; the check must
+  // not let that pass traffic over a link that cannot carry any.
+  std::vector<double> s(600, 0.5);
+  std::vector<WeightedSeries> in{{&s, 1.0}};
+  EXPECT_FALSE(CheckLinkMultiplexing(in, 0.0).pass);
+  EXPECT_FALSE(CheckLinkMultiplexing(in, -1.0).pass);
+  // An idle series still fits a zero-capacity link by the peak test.
+  std::vector<double> idle(600, 0.0);
+  LinkCheckResult r = CheckLinkMultiplexing({{&idle, 1.0}}, 0.0);
+  EXPECT_TRUE(r.pass);
+  EXPECT_TRUE(r.skipped_peak_test);
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void ExpectSameResult(const LinkCheckResult& a, const LinkCheckResult& b) {
+  EXPECT_EQ(a.pass, b.pass);
+  EXPECT_EQ(a.skipped_peak_test, b.skipped_peak_test);
+  EXPECT_EQ(Bits(a.queue_delay_ms), Bits(b.queue_delay_ms));
+  EXPECT_EQ(Bits(a.exceed_probability), Bits(b.exceed_probability));
+}
+
+TEST(Multiplex, PeakTableSumIsBitwiseTheScannedSum) {
+  // A per-epoch peak table (SeriesPeak once per series, then fl(peak·w)
+  // per input) must reproduce the scanning peak sum bit for bit, and so
+  // every skip decision and FFT bin width. Seeded series with negative
+  // samples, all-zero series, unequal lengths; weights in [1e-9, 1].
+  Rng rng(20181);
+  size_t skipped = 0, full = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    size_t k = 1 + rng.NextIndex(6);
+    std::vector<std::vector<double>> series(k);
+    for (std::vector<double>& s : series) {
+      s.resize(1 + rng.NextIndex(700));
+      int shape = static_cast<int>(rng.NextIndex(4));
+      for (double& v : s) {
+        if (shape == 0) v = 0.0;                          // all zero
+        else if (shape == 1) v = rng.Uniform(-2.0, 0.0);  // never positive
+        else v = rng.Uniform(-0.5, 3.0);                  // mixed sign
+      }
+    }
+    std::vector<WeightedSeries> in;
+    double table_sum = 0;
+    for (const std::vector<double>& s : series) {
+      double w = std::pow(10.0, rng.Uniform(-9.0, 0.0));
+      in.push_back({&s, w});
+      double table_peak = std::max(0.0, SeriesPeak(s) * w);
+      ASSERT_EQ(Bits(table_peak), Bits(PeakSum({{&s, w}})));
+      table_sum += table_peak;
+    }
+    ASSERT_EQ(Bits(table_sum), Bits(PeakSum(in)));
+    // Capacities around the peak sum, including exactly on it, so both
+    // sides of the skip test are exercised.
+    for (double cap : {table_sum * rng.Uniform(0.3, 1.0), table_sum,
+                       table_sum * rng.Uniform(1.0, 1.5)}) {
+      LinkCheckResult scanned = CheckLinkMultiplexing(in, cap);
+      ExpectSameResult(CheckLinkGivenPeakSum(in, table_sum, cap, {}), scanned);
+      (scanned.skipped_peak_test ? skipped : full)++;
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(full, 0u);
 }
 
 }  // namespace
